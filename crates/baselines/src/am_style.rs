@@ -327,7 +327,7 @@ pub struct AmStyleBackend;
 
 impl MwFactory for AmStyleBackend {
     type Object = AmStyleLlSc;
-    type Handle = AmHandle;
+    type Slot<'a> = AmHandle;
 
     const NAME: &'static str = "am-style";
 
@@ -346,8 +346,10 @@ impl MwFactory for AmStyleBackend {
         Ok(AmStyleLlSc::new(n, w, initial))
     }
 
-    fn try_claim(obj: &Arc<Self::Object>, p: usize) -> Result<Self::Handle, ClaimError> {
-        obj.try_claim(p)
+    /// Leases the ordinary handle; a held `p` breaks the caller's
+    /// exclusivity precondition and panics.
+    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
+        obj.claim(p)
     }
 
     fn object_shared_words(n: usize, w: usize) -> usize {

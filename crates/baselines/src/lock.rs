@@ -180,7 +180,7 @@ pub struct LockBackend;
 
 impl MwFactory for LockBackend {
     type Object = LockLlSc;
-    type Handle = LockHandle;
+    type Slot<'a> = LockHandle;
 
     const NAME: &'static str = "lock";
 
@@ -193,8 +193,10 @@ impl MwFactory for LockBackend {
         Ok(LockLlSc::new(n, w, initial))
     }
 
-    fn try_claim(obj: &Arc<Self::Object>, p: usize) -> Result<Self::Handle, ClaimError> {
-        obj.try_claim(p)
+    /// Leases the ordinary handle; a held `p` breaks the caller's
+    /// exclusivity precondition and panics.
+    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
+        obj.claim(p)
     }
 
     fn object_shared_words(_n: usize, w: usize) -> usize {

@@ -202,7 +202,7 @@ pub struct SeqLockBackend;
 
 impl MwFactory for SeqLockBackend {
     type Object = SeqLockLlSc;
-    type Handle = SeqLockHandle;
+    type Slot<'a> = SeqLockHandle;
 
     const NAME: &'static str = "seqlock";
 
@@ -215,8 +215,10 @@ impl MwFactory for SeqLockBackend {
         Ok(SeqLockLlSc::new(n, w, initial))
     }
 
-    fn try_claim(obj: &Arc<Self::Object>, p: usize) -> Result<Self::Handle, ClaimError> {
-        obj.try_claim(p)
+    /// Leases the ordinary handle; a held `p` breaks the caller's
+    /// exclusivity precondition and panics.
+    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
+        obj.claim(p)
     }
 
     fn object_shared_words(_n: usize, w: usize) -> usize {

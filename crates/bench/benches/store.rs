@@ -1,5 +1,5 @@
 //! E10/E11 (bench form): per-operation cost of the store layer — routing,
-//! shard-slot lookup, lazy-table hit, per-object claim — over the raw
+//! shard-slot lookup, key-table hit, object slot borrow — over the raw
 //! object; the batched `read_many`/`update_many` paths against one-by-one
 //! operations; and the same update workload across store backends.
 //!
@@ -37,7 +37,7 @@ fn bench_update_vs_shards(c: &mut Criterion) {
         });
     }
     // The raw-object floor: what one update costs with no router, no
-    // table, no claim — the difference is the store layer's overhead.
+    // table, no slot borrow — the difference is the store layer's overhead.
     group.bench_function("raw_mwllsc_floor", |b| {
         let obj = MwLlSc::new(2, W, &[0; W]);
         let mut h = obj.claim(0).expect("fresh object");

@@ -4,7 +4,13 @@
 //! paper; comments cite the paper's line numbers. The handle owns the
 //! process's persistent local variables (`mybuf_p`, `x_p`) and the link
 //! token for the process's latest LL on `X`.
+//!
+//! One body serves both ways of holding the object: an `Arc` for the
+//! leases of [`claim`](MwLlSc::claim), [`attach`](MwLlSc::attach) and
+//! [`with`](MwLlSc::with), and a plain borrow for
+//! [`MwFactory::borrow_slot`](crate::MwFactory::borrow_slot).
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use llsc_word::{Link, NewCell, TaggedLlSc};
@@ -26,6 +32,11 @@ use crate::variable::{LlStrategy, MwLlSc};
 /// [`claim`](MwLlSc::claim) or [`attach`](MwLlSc::attach) can take the
 /// slot over.
 ///
+/// `O` is how the handle holds its object: `Arc<MwLlSc<C>>` (the default)
+/// for leases, or `&MwLlSc<C>` for a slot borrowed with
+/// [`MwFactory::borrow_slot`](crate::MwFactory::borrow_slot), which pays
+/// no reference count.
+///
 /// # Operation protocol
 ///
 /// [`sc`](Self::sc) and [`vl`](Self::vl) are defined relative to this
@@ -33,8 +44,8 @@ use crate::variable::{LlStrategy, MwLlSc};
 /// panics. After a successful `sc`, the link is consumed: a further `sc`
 /// without a fresh `ll` fails (the paper's semantics — the process's own
 /// successful SC counts as "a successful SC since p's latest LL").
-pub struct Handle<C: NewCell = TaggedLlSc> {
-    obj: Arc<MwLlSc<C>>,
+pub struct Handle<C: NewCell = TaggedLlSc, O: Deref<Target = MwLlSc<C>> = Arc<MwLlSc<C>>> {
+    obj: O,
     p: usize,
     /// `mybuf_p`: index of the buffer this process currently owns.
     mybuf: u32,
@@ -44,7 +55,7 @@ pub struct Handle<C: NewCell = TaggedLlSc> {
     x_link: Option<Link>,
 }
 
-impl<C: NewCell> std::fmt::Debug for Handle<C> {
+impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> std::fmt::Debug for Handle<C, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Handle")
             .field("p", &self.p)
@@ -54,11 +65,11 @@ impl<C: NewCell> std::fmt::Debug for Handle<C> {
     }
 }
 
-impl<C: NewCell> Handle<C> {
+impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
     /// `mybuf` is whatever the slot registry carried for `p` — initially
     /// the paper's `2N + p`, later whatever buffer the previous lease of
     /// this slot owned when it was dropped.
-    pub(crate) fn new(obj: Arc<MwLlSc<C>>, p: usize, mybuf: u32) -> Self {
+    pub(crate) fn new(obj: O, p: usize, mybuf: u32) -> Self {
         Self { obj, p, mybuf, x_rec: XRecord { buf: 0, seq: 0 }, x_link: None }
     }
 
@@ -68,9 +79,9 @@ impl<C: NewCell> Handle<C> {
         self.p
     }
 
-    /// The shared object this handle operates on.
+    /// The shared object this handle operates on, as the handle holds it.
     #[must_use]
-    pub fn object(&self) -> &Arc<MwLlSc<C>> {
+    pub fn object(&self) -> &O {
         &self.obj
     }
 
@@ -310,11 +321,12 @@ impl<C: NewCell> Handle<C> {
     }
 }
 
-impl<C: NewCell> Drop for Handle<C> {
-    /// Releases the lease: slot `p` returns to the free pool carrying this
-    /// handle's current `mybuf`, so the next leaseholder of `p` owns
-    /// exactly the buffer this one did — the `3N`-buffer partition never
-    /// gains or loses a member across any sequence of attaches and drops.
+impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Drop for Handle<C, O> {
+    /// Releases the lease (or ends the borrow): slot `p` returns to the
+    /// free pool carrying this handle's current `mybuf`, so the next
+    /// holder of `p` owns exactly the buffer this one did — the
+    /// `3N`-buffer partition never gains or loses a member across any
+    /// sequence of attaches, borrows and drops.
     fn drop(&mut self) {
         self.obj.release_slot(self.p, self.mybuf);
     }
@@ -323,8 +335,8 @@ impl<C: NewCell> Drop for Handle<C> {
 // Handle is Send (process migration between threads is fine) but must not
 // be shared: all mutating methods take &mut self, and Clone is not derived.
 #[allow(dead_code)]
-fn _assert_handle_send<C: NewCell>(h: Handle<C>) -> impl Send {
-    h
+fn _assert_handle_send<C: NewCell>(h: Handle<C>, b: Handle<C, &MwLlSc<C>>) -> impl Send + '_ {
+    (h, b)
 }
 
 #[cfg(test)]

@@ -21,12 +21,15 @@
 //! handles come and go. Other consumers (the sharded store) use the payload
 //! as an opaque token.
 //!
-//! Each slot word is [`CachePadded`]: lease/release traffic on one slot
-//! must not invalidate the cache line holding its neighbours' words, or the
-//! lock-free scan in [`lease_any`](SlotRegistry::lease_any) would serialize
-//! attachers at high core counts.
+//! Slot words are packed, one `u64` per slot, not cache-padded. Inside an
+//! `MwLlSc` the payloads *are* the per-process `mybuf` array, which a
+//! store keeps for every key: padding would multiply that array by 16,
+//! while the words are written only when a slot changes hands (a lease, a
+//! release, or the park at the end of a borrowed-slot operation — see
+//! [`MwFactory::borrow_slot`](crate::MwFactory::borrow_slot)). Processes
+//! operating on one object at once therefore share a line; the measured
+//! price is noted in `pad.rs`.
 
-use crate::pad::CachePadded;
 use crate::sync::{AtomicU64, AtomicUsize, Labeled, Ordering};
 
 /// Bit marking a slot as currently leased; the low 32 bits hold the
@@ -77,9 +80,8 @@ impl std::error::Error for AttachError {}
 /// assert_eq!(r.lease_exact(p), Some(7), "the payload travels with the slot");
 /// ```
 pub struct SlotRegistry {
-    /// Per-slot word: [`LEASED`] bit plus the resting payload. Padded so
-    /// lease churn on one slot leaves its neighbours' cache lines alone.
-    slots: Box<[CachePadded<AtomicU64>]>,
+    /// Per-slot word: [`LEASED`] bit plus the resting payload.
+    slots: Box<[AtomicU64]>,
     /// Rotating scan start for [`lease_any`](Self::lease_any).
     cursor: AtomicUsize,
 }
@@ -106,13 +108,11 @@ impl SlotRegistry {
         assert!(n > 0, "a registry needs at least one slot");
         assert!(u32::try_from(n).is_ok(), "slot count exceeds u32");
         let this = Self {
-            slots: (0..n)
-                .map(|p| CachePadded::new(AtomicU64::new(u64::from(payload(p)))))
-                .collect(),
+            slots: (0..n).map(|p| AtomicU64::new(u64::from(payload(p)))).collect(),
             cursor: AtomicUsize::new(0),
         };
         for (p, slot) in this.slots.iter().enumerate() {
-            Labeled::set_label(&**slot, "SLOT", p as u32, 0);
+            Labeled::set_label(slot, "SLOT", p as u32, 0);
         }
         Labeled::set_label(&this.cursor, "CURS", 0, 0);
         this
@@ -151,6 +151,34 @@ impl SlotRegistry {
         None
     }
 
+    /// Takes slot `p` for one operation of a caller that already holds
+    /// `p` exclusively by other means, returning its resting payload.
+    ///
+    /// Release builds read the payload with one `Acquire` load — no
+    /// read-modify-write — which pairs with the `Release` store of the
+    /// previous holder's [`release`](Self::release). The caller hands the
+    /// slot back with `release` as usual.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is leased ([`lease_exact`](Self::lease_exact) or
+    /// [`lease_any`](Self::lease_any)): the check reads the word already
+    /// loaded, so it costs no memory operation. Debug builds also take a
+    /// real lease for the borrow, so while it lasts a second borrow of `p`
+    /// panics too and a lease of `p` fails.
+    pub(crate) fn borrow(&self, p: usize) -> u32 {
+        let word = self.slots[p].load(Ordering::Acquire); // lint: cell=SLOT
+        assert!(word & LEASED == 0, "slot {p} borrowed while another holder has it");
+        if cfg!(debug_assertions) {
+            match self.lease_exact(p) {
+                Some(payload) => payload,
+                None => panic!("slot {p} borrowed while another holder has it"),
+            }
+        } else {
+            word as u32
+        }
+    }
+
     /// Returns slot `p` to the free pool, carrying `payload` back with it.
     ///
     /// The `Release` store pairs with the `AcqRel` in
@@ -167,6 +195,12 @@ impl SlotRegistry {
     pub fn live(&self) -> usize {
         // lint: cell=SLOT
         self.slots.iter().filter(|s| s.load(Ordering::Acquire) & LEASED != 0).count()
+    }
+
+    /// Slot `p`'s resting payload (meaningful only while `p` is free).
+    #[cfg(test)]
+    pub(crate) fn payload(&self, p: usize) -> u32 {
+        self.slots[p].load(Ordering::Acquire) as u32
     }
 }
 
@@ -232,6 +266,35 @@ mod tests {
         let mut got: Vec<usize> = joins.into_iter().map(|j| j.join().unwrap().0).collect();
         got.sort_unstable();
         assert_eq!(got, (0..n).collect::<Vec<_>>(), "every slot granted exactly once");
+    }
+
+    #[test]
+    fn borrow_reads_the_payload_and_release_parks_it() {
+        let r = SlotRegistry::for_object(2, 4);
+        assert_eq!(r.borrow(1), 5, "initial mybuf_1 = 2N + 1");
+        r.release(1, 9);
+        assert_eq!(r.borrow(1), 9, "the parked payload is the next borrower's");
+        r.release(1, 9);
+        assert_eq!(r.live(), 0);
+    }
+
+    // The release-build check: it runs before the debug-only lease, so
+    // this panics the same way in every build.
+    #[test]
+    #[should_panic(expected = "borrowed while another holder has it")]
+    fn borrowing_a_leased_slot_panics() {
+        let r = SlotRegistry::for_object(2, 4);
+        let _ = r.lease_exact(0);
+        let _ = r.borrow(0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "borrowed while another holder has it")]
+    fn debug_builds_reject_a_second_borrow() {
+        let r = SlotRegistry::for_object(2, 4);
+        let _ = r.borrow(0);
+        let _ = r.borrow(0);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! reconstruction, locks, seqlocks, pointer swaps — while *producers* only
 //! depend on the core crate they already build on.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use llsc_word::{EpochLlSc, NewCell, TaggedLlSc};
@@ -17,7 +18,7 @@ use llsc_word::{EpochLlSc, NewCell, TaggedLlSc};
 use crate::handle::Handle;
 use crate::layout::Layout;
 use crate::stats::Stats;
-use crate::variable::{ClaimError, ConfigError, LlStrategy, MwLlSc};
+use crate::variable::{ConfigError, LlStrategy, MwLlSc};
 
 /// A per-process handle to some `W`-word LL/SC/VL object.
 ///
@@ -121,8 +122,8 @@ impl SpaceEstimate {
 
 /// A *constructor* capability: everything a pooling layer (such as
 /// `mwllsc-store`) needs to materialize `W`-word LL/SC objects of one
-/// implementation and lease per-process handles on them — without naming
-/// the concrete object type.
+/// implementation and operate on them through per-process slots — without
+/// naming the concrete object type.
 ///
 /// [`MwHandle`] abstracts over a handle that already exists; `MwFactory`
 /// widens that to *object construction*, so a sharded key table can
@@ -137,10 +138,10 @@ impl SpaceEstimate {
 /// * `try_build(n, w, init)` validates with [`ConfigError::validate`]
 ///   semantics: `n`/`w` nonzero, `init.len() == w`,
 ///   `n <= max_processes()`.
-/// * `try_claim(obj, p)` leases process id `p` exclusively: it fails with
-///   [`ClaimError::AlreadyClaimed`] while another live handle holds `p`,
-///   and dropping the handle frees the id (lease semantics, for every
-///   backend).
+/// * `borrow_slot(obj, p)` is the one per-process path: a handle for
+///   process id `p` for one operation, for a caller that already holds
+///   `p` exclusively (see its exclusivity precondition). Dropping the
+///   handle hands `p`'s state to the next borrow.
 /// * `object_shared_words(n, w)` is the *exact* steady-state shared words
 ///   one object costs — consumers assert space rollups against it, so it
 ///   must match what the objects actually allocate.
@@ -152,7 +153,8 @@ impl SpaceEstimate {
 ///
 /// fn bump_first_word<B: MwFactory>(initial: &[u64]) -> u64 {
 ///     let obj = B::try_build(2, initial.len(), initial).unwrap();
-///     let mut h = B::try_claim(&obj, 0).unwrap();
+///     // This caller is the only user of process id 0.
+///     let mut h = B::borrow_slot(&obj, 0);
 ///     let mut v = vec![0u64; initial.len()];
 ///     loop {
 ///         h.ll(&mut v);
@@ -169,8 +171,11 @@ pub trait MwFactory: Send + Sync + 'static {
     /// The shared object type this backend builds.
     type Object: Send + Sync + 'static;
 
-    /// The per-process handle leased from an object.
-    type Handle: MwHandle + 'static;
+    /// The handle [`borrow_slot`](Self::borrow_slot) lends for one
+    /// operation.
+    type Slot<'a>: MwHandle
+    where
+        Self: 'a;
 
     /// Short display name used in table rows and store reports.
     const NAME: &'static str;
@@ -186,9 +191,27 @@ pub trait MwFactory: Send + Sync + 'static {
     /// Builds one object for `n` processes and `w`-word values.
     fn try_build(n: usize, w: usize, initial: &[u64]) -> Result<Arc<Self::Object>, ConfigError>;
 
-    /// Leases process id `p`'s handle on `obj` (exclusive while live;
-    /// dropping the handle frees the id).
-    fn try_claim(obj: &Arc<Self::Object>, p: usize) -> Result<Self::Handle, ClaimError>;
+    /// Borrows process id `p`'s slot on `obj` for one operation — the
+    /// per-key path of a pool such as the sharded store. The paper
+    /// backends lend a [`Handle`] that borrows the object: it reads
+    /// `mybuf_p` from the slot with one load and parks it back on drop,
+    /// with no lease read-modify-write and no reference count. The
+    /// baselines lease their ordinary handle.
+    ///
+    /// # Exclusivity precondition
+    ///
+    /// The caller must hold `p` exclusively across every object it
+    /// borrows on — the store's shard-level slot lease gives process id
+    /// `p` to one handle at a time — and must drop the returned handle
+    /// before borrowing `p` on the same object again.
+    ///
+    /// # Panics
+    ///
+    /// May panic if the precondition is broken. The leasing backends
+    /// always detect it. The paper backends always detect a live
+    /// `claim`/`attach` lease of `p`, and in debug builds any second
+    /// holder.
+    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_>;
 
     /// Exact steady-state shared words one `(n, w)` object costs, as a
     /// closed-form formula (consumers size and assert against this
@@ -243,7 +266,7 @@ fn paper_shared_words(n: usize, w: usize) -> usize {
 
 impl MwFactory for PaperBackend {
     type Object = MwLlSc<TaggedLlSc>;
-    type Handle = Handle<TaggedLlSc>;
+    type Slot<'a> = Handle<TaggedLlSc, &'a MwLlSc<TaggedLlSc>>;
 
     const NAME: &'static str = "paper";
 
@@ -259,8 +282,8 @@ impl MwFactory for PaperBackend {
         MwLlSc::try_new(n, w, initial)
     }
 
-    fn try_claim(obj: &Arc<Self::Object>, p: usize) -> Result<Self::Handle, ClaimError> {
-        obj.claim(p)
+    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
+        obj.borrow_slot(p)
     }
 
     fn object_shared_words(n: usize, w: usize) -> usize {
@@ -278,7 +301,7 @@ impl MwFactory for PaperBackend {
 
 impl MwFactory for EpochBackend {
     type Object = MwLlSc<EpochLlSc>;
-    type Handle = Handle<EpochLlSc>;
+    type Slot<'a> = Handle<EpochLlSc, &'a MwLlSc<EpochLlSc>>;
 
     const NAME: &'static str = "paper-epoch";
 
@@ -294,8 +317,8 @@ impl MwFactory for EpochBackend {
         MwLlSc::try_new_in(n, w, initial)
     }
 
-    fn try_claim(obj: &Arc<Self::Object>, p: usize) -> Result<Self::Handle, ClaimError> {
-        obj.claim(p)
+    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
+        obj.borrow_slot(p)
     }
 
     fn object_shared_words(n: usize, w: usize) -> usize {
@@ -322,7 +345,7 @@ impl MwFactory for EpochBackend {
 
 impl MwFactory for PaperRetryBackend {
     type Object = MwLlSc<TaggedLlSc>;
-    type Handle = Handle<TaggedLlSc>;
+    type Slot<'a> = Handle<TaggedLlSc, &'a MwLlSc<TaggedLlSc>>;
 
     const NAME: &'static str = "paper-retry-ll";
 
@@ -338,8 +361,8 @@ impl MwFactory for PaperRetryBackend {
         MwLlSc::try_with_strategy(n, w, initial, LlStrategy::RetryLoop)
     }
 
-    fn try_claim(obj: &Arc<Self::Object>, p: usize) -> Result<Self::Handle, ClaimError> {
-        obj.claim(p)
+    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
+        obj.borrow_slot(p)
     }
 
     fn object_shared_words(n: usize, w: usize) -> usize {
@@ -356,8 +379,8 @@ impl MwFactory for PaperRetryBackend {
 }
 
 // The paper's algorithm satisfies its own capability trait, over any
-// substrate.
-impl<C: NewCell> MwHandle for Handle<C> {
+// substrate and however the handle holds its object.
+impl<C: NewCell, O: Deref<Target = MwLlSc<C>> + Send> MwHandle for Handle<C, O> {
     fn ll(&mut self, out: &mut [u64]) {
         Handle::ll(self, out);
     }
@@ -495,12 +518,15 @@ mod tests {
         assert!(B::try_build(1, 0, &[]).is_err(), "{}: zero words", B::NAME);
         assert!(B::try_build(2, 2, &[1]).is_err(), "{}: wrong init len", B::NAME);
         let obj = B::try_build(2, 2, &[7, 8]).unwrap();
-        let mut h = B::try_claim(&obj, 0).unwrap();
-        assert!(matches!(B::try_claim(&obj, 0), Err(ClaimError::AlreadyClaimed { p: 0 })));
-        assert!(matches!(B::try_claim(&obj, 2), Err(ClaimError::OutOfRange { p: 2, n: 2 })));
-        drive(&mut h);
-        drop(h);
-        let _re = B::try_claim(&obj, 0).expect("dropping the handle frees the id");
+        let mut v = [0u64; 2];
+        B::borrow_slot(&obj, 0).read(&mut v);
+        assert_eq!(v, [7, 8], "{}: initial value", B::NAME);
+        // Each borrow starts from the state the previous one handed back.
+        drive(&mut B::borrow_slot(&obj, 1));
+        drive(&mut B::borrow_slot(&obj, 1));
+        drive(&mut B::borrow_slot(&obj, 0));
+        B::borrow_slot(&obj, 0).read(&mut v);
+        assert_eq!(v, [10, 8], "{}: three increments", B::NAME);
     }
 
     #[test]

@@ -205,16 +205,19 @@ pub struct MwLlSc<C: NewCell = TaggedLlSc> {
     /// lazy fix-ups), and padding them would multiply the `O(N)` cell
     /// footprint by 16 for no contended-path win.
     pub(crate) bank: Box<[C]>,
-    /// `Help[0..N-1]`: helping mailboxes — `(helpme, buf)` packed. Each is
-    /// padded: process `p` writes `Help[p]` on *every* LL (the line-1
-    /// announcement), and without padding that write would invalidate the
-    /// cache line holding its neighbours' mailboxes — false sharing on the
-    /// hottest per-process word in the algorithm.
-    pub(crate) help: Box<[CachePadded<C>]>,
-    /// `BUF[0..3N-1]`: the value buffers.
+    /// `Help[0..N-1]`: helping mailboxes — `(helpme, buf)` packed. Not
+    /// padded, like `Bank`: process `p` writes `Help[p]` on every LL (the
+    /// line-1 announcement), so two processes announcing on one object at
+    /// once share a line; padding would make the array 16× larger on
+    /// every object of a many-key store. The measured price is noted in
+    /// `pad.rs`.
+    pub(crate) help: Box<[C]>,
+    /// `BUF[0..3N-1]`: the value buffers, one flat `3N·W`-word allocation.
     pub(crate) bufs: BufferPool,
     pub(crate) counters: Counters,
     pub(crate) strategy: LlStrategy,
+    /// Slot leases. A free or parked slot's payload is its `mybuf_p`, so
+    /// this is also the per-process `mybuf` array.
     registry: SlotRegistry,
 }
 
@@ -286,12 +289,12 @@ impl<C: NewCell> MwLlSc<C> {
         ));
         let bank: Box<[C]> =
             (0..layout.num_seqs()).map(|k| C::new_cell(layout.buf_max(), k as u64)).collect();
-        let help: Box<[CachePadded<C>]> = (0..n)
+        let help: Box<[C]> = (0..n)
             .map(|_| {
-                CachePadded::new(C::new_cell(
+                C::new_cell(
                     layout.help_max(),
                     layout.pack_help(HelpRecord { helpme: false, buf: 0 }),
-                ))
+                )
             })
             .collect();
         let bufs = BufferPool::new(layout.num_buffers(), w);
@@ -423,15 +426,70 @@ impl<C: NewCell> MwLlSc<C> {
             .collect()
     }
 
+    /// Borrows process `p`'s slot for a handle that lives as long as the
+    /// borrow of `self` — the per-operation path of a pool (the sharded
+    /// store) that already guarantees `p` is exclusive.
+    ///
+    /// No lease read-modify-write and no reference count: the handle reads
+    /// `mybuf_p` from the slot word and parks its final `mybuf_p` there
+    /// when dropped, so the buffer partition survives exactly as it does
+    /// across [`claim`](Self::claim) leases.
+    ///
+    /// # Exclusivity precondition
+    ///
+    /// While the returned handle lives, no other handle — borrowed,
+    /// claimed, or attached — may hold process `p` on this object: two
+    /// holders of one `p` would share `mybuf_p` and `Help[p]`, which breaks
+    /// the algorithm. A pool upholds this by giving `p` to one actor at a
+    /// time (the store's shard-level slot lease) and letting that actor
+    /// borrow `p` on one object at a time. Every build panics if a lease
+    /// holds `p`; debug builds also take a real lease for the borrow, so
+    /// any second holder panics. Outside the crate the way in is
+    /// [`MwFactory::borrow_slot`](crate::MwFactory::borrow_slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p >= N` or a lease holds `p`, and in debug builds if
+    /// any other holder has `p`.
+    #[must_use]
+    pub(crate) fn borrow_slot(&self, p: usize) -> Handle<C, &Self> {
+        Handle::new(self, p, self.registry.borrow(p))
+    }
+
     /// Number of process slots currently leased by live handles.
     #[must_use]
     pub fn live_leases(&self) -> usize {
         self.registry.live()
     }
 
-    /// Returns slot `p` with its current `mybuf`; called by `Handle::drop`.
+    /// Returns slot `p` with its current `mybuf`; called by `Handle::drop`
+    /// for leased and borrowed handles alike.
     pub(crate) fn release_slot(&self, p: usize, mybuf: u32) {
         self.registry.release(p, mybuf);
+    }
+
+    /// Asserts the paper's buffer partition at quiescence (no handle
+    /// holds a slot): `{X.buf}`, `{Bank[k] : k ≠ X.seq}` and the parked
+    /// `{mybuf_p : p < N}` cover the buffer indices `0..3N` exactly once.
+    /// `Bank[X.seq]` is left out because line 13 repairs it lazily.
+    #[cfg(test)]
+    pub(crate) fn assert_buffer_partition(&self) {
+        let n = self.layout.n();
+        let x = self.layout.unpack_x(self.x.read());
+        let mut owners = vec![0u32; self.bufs.count()];
+        owners[x.buf as usize] += 1;
+        for (k, cell) in self.bank.iter().enumerate() {
+            if k != x.seq as usize {
+                owners[cell.read() as usize] += 1;
+            }
+        }
+        for p in 0..n {
+            owners[self.registry.payload(p) as usize] += 1;
+        }
+        assert!(
+            owners.iter().all(|&c| c == 1),
+            "buffers 0..3N must be owned exactly once, got {owners:?}"
+        );
     }
 
     /// A snapshot of the instrumentation counters.
@@ -452,7 +510,7 @@ impl<C: NewCell> MwLlSc<C> {
         use llsc_word::LlScCell;
         self.x.retired_words()
             + self.bank.iter().map(LlScCell::retired_words).sum::<usize>()
-            + self.help.iter().map(|c| c.retired_words()).sum::<usize>()
+            + self.help.iter().map(LlScCell::retired_words).sum::<usize>()
     }
 
     /// Exact space usage in 64-bit words.
@@ -554,10 +612,78 @@ mod tests {
             h.ll(&mut v);
             assert_eq!(v, [gen, gen]);
             assert!(h.sc(&[gen + 1, gen + 1]));
+            drop(h);
+            obj.assert_buffer_partition();
         }
         assert_eq!(obj.space(), before);
         assert_eq!(obj.space().shared_words(), 3 * 2 * 2 + 3 * 2 + 1);
         assert_eq!(obj.live_leases(), 0);
+    }
+
+    #[test]
+    fn borrowed_slots_keep_the_buffer_partition_under_threaded_churn() {
+        // Each thread owns one process id and borrows it per operation, so
+        // every LL/SC starts from the mybuf the previous borrow parked —
+        // including the buffers exchanged by helping (lines 15–16) and by
+        // successful SCs (line 20). A lost park would hand a thread a
+        // buffer that X or Bank still holds, and the check below would
+        // see it counted twice.
+        let n = 4;
+        let obj = MwLlSc::new(n, 3, &[0, 0, 0]);
+        let joins: Vec<_> = (0..n)
+            .map(|p| {
+                let obj = Arc::clone(&obj);
+                std::thread::spawn(move || {
+                    let mut v = [0u64; 3];
+                    for i in 0..2_000u64 {
+                        let mut h = obj.borrow_slot(p);
+                        if i % 3 == 0 {
+                            h.read(&mut v);
+                            assert!(v[0] == v[1] && v[1] == v[2], "torn read {v:?}");
+                        } else {
+                            loop {
+                                h.ll(&mut v);
+                                if h.sc(&[v[0] + 1; 3]) {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for j in joins {
+            j.join().unwrap();
+        }
+        obj.assert_buffer_partition();
+        let mut h = obj.claim(0).unwrap();
+        let updates_per_thread = (0..2_000u64).filter(|i| i % 3 != 0).count() as u64;
+        assert_eq!(h.ll_vec(), vec![n as u64 * updates_per_thread; 3]);
+        assert_eq!(obj.live_leases(), 1);
+    }
+
+    #[test]
+    fn a_borrowed_slot_carries_its_buffer_into_a_later_claim() {
+        let obj = MwLlSc::new(2, 1, &[0]);
+        for i in 0..10u64 {
+            let mut h = obj.borrow_slot(0);
+            let mut v = [0u64];
+            h.ll(&mut v);
+            assert!(h.sc(&[i + 1]));
+        }
+        obj.assert_buffer_partition();
+        let mut h = obj.claim(0).expect("a parked borrow leaves the slot free");
+        assert_eq!(h.ll_vec(), vec![10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "borrowed while another holder has it")]
+    fn borrowing_a_claimed_slot_panics() {
+        // Without the check the borrow's drop would free slot 0 under the
+        // live claim, and a second claim would then share mybuf_0.
+        let obj = MwLlSc::new(2, 1, &[0]);
+        let _a = obj.claim(0).unwrap();
+        drop(obj.borrow_slot(0));
     }
 
     #[test]

@@ -828,7 +828,7 @@ pub fn e11_backends(quick: bool) {
     println!("agnostic — one Store design serves the paper algorithm (tagged or epoch");
     println!("substrate) and every baseline through the MwFactory backend parameter —");
     println!("and the batched update_many path, which sorts a batch by (shard, key),");
-    println!("leases all shard slots up front, and reuses object claims across runs of");
+    println!("leases all shard slots up front, and borrows one object slot per run of");
     println!("equal keys, beats per-key update on batched workloads.\n");
 
     // The typed-error path: capacity is judged against the *backend's*

@@ -202,6 +202,7 @@ mod tests {
 
     #[test]
     fn concurrent_fetch_increment_is_exact() {
+        let _gate = crate::testgate();
         const THREADS: usize = 8;
         const PER: u64 = 5_000;
         let x = Arc::new(EpochLlSc::new(0));

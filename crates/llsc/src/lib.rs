@@ -90,7 +90,9 @@ mod tagged;
 /// Serializes the unit tests that either hold epoch pins for extended
 /// stretches or assert backlog bounds: the epoch state is process-global,
 /// so a pin held by one concurrently-running test would block reclamation
-/// and flake another test's bound. (The integration suite in
+/// and flake another test's bound. Tests that pin from more threads than
+/// the host has cores count as long holders: a pinned thread that is
+/// preempted keeps its pin for a whole time slice. (The integration suite in
 /// `tests/reclamation.rs` has its own copy of this gate.)
 #[cfg(test)]
 pub(crate) fn testgate() -> std::sync::MutexGuard<'static, ()> {

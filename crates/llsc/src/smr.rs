@@ -582,6 +582,7 @@ mod tests {
 
     #[test]
     fn epoch_is_monotone_across_threads() {
+        let _gate = crate::testgate();
         let before = global_epoch();
         let joins: Vec<_> = (0..4)
             .map(|_| {

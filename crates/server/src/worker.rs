@@ -5,8 +5,9 @@
 //! [`DynStoreHandle`](mwllsc_store::DynStoreHandle), so a server with
 //! `N` workers consumes at most one slot lease per shard per worker —
 //! the store's `shard_capacity` bounds how many workers (plus external
-//! handles) can serve a store, and the lease is what makes every per-key
-//! claim inside a batch an uncontended RMW (see the store docs). A mesh
+//! handles) can serve a store, and the lease is what lets every per-key
+//! operation inside a batch borrow its object slot without a lease of its
+//! own (see the store docs). A mesh
 //! route leases nothing: the shard leases live in the mesh's own worker
 //! threads, and this loop only forwards over rings.
 

@@ -5,11 +5,15 @@
 //! holds each lease for its lifetime (dropping the handle releases them
 //! all). The lease is the concurrency contract that makes per-key access
 //! cheap: holding shard slot `p` exclusively means *no other handle* ever
-//! uses process id `p` in that shard, so claiming id `p` on any per-key
-//! object in the shard is one uncontended RMW that cannot fail.
+//! uses process id `p` in that shard, so each operation borrows slot `p`
+//! of the key's object ([`MwFactory::borrow_slot`]). For the paper
+//! backends that borrow is one load of the slot's parked `mybuf` and one
+//! store back — no lease read-modify-write, no reference count — and the
+//! key table finds the object with two `Acquire` loads, so an operation
+//! touches little besides the key's own paper object.
 //!
 //! The handle is generic over the store's backend `B`
-//! ([`MwFactory`]): every operation drives `B::Handle` through the
+//! ([`MwFactory`]): every operation drives the borrowed slot through the
 //! [`MwHandle`] capability trait, so the same code path serves the paper
 //! algorithm, the substrate ablations, and the baselines.
 
@@ -55,6 +59,17 @@ impl<B: MwFactory> std::fmt::Debug for StoreHandle<B> {
             .field("leased", &self.slots.iter().filter(|s| s.is_some()).count())
             .finish()
     }
+}
+
+/// One batch entry after the pre-pass: the key's shard, this handle's
+/// process id in that shard, the entry's position in the caller's batch,
+/// and the key.
+#[derive(Clone, Copy)]
+struct Entry {
+    si: usize,
+    p: usize,
+    i: usize,
+    key: u64,
 }
 
 impl<B: MwFactory> StoreHandle<B> {
@@ -107,13 +122,11 @@ impl<B: MwFactory> StoreHandle<B> {
         }
     }
 
-    /// Claims this handle's per-shard process id on `key`'s object,
-    /// returning the shard index alongside.
-    fn object_handle(&mut self, key: u64) -> Result<(usize, B::Handle), StoreError> {
+    /// Routes `key` and returns `(shard, this handle's process id in
+    /// it)`, leasing the shard slot on first touch.
+    fn route_slot(&mut self, key: u64) -> Result<(usize, usize), StoreError> {
         let si = self.store.route(key)?;
-        let p = self.slot_for(si)?;
-        let obj = self.store.object_for(si, key);
-        Ok((si, claim_owned::<B>(&obj, p)))
+        Ok((si, self.slot_for(si)?))
     }
 
     /// Reads the current value of `key` into `out`.
@@ -124,8 +137,8 @@ impl<B: MwFactory> StoreHandle<B> {
         if out.len() != self.store.width() {
             return Err(StoreError::WrongValueLen { expected: self.store.width(), got: out.len() });
         }
-        let (si, mut h) = self.object_handle(key)?;
-        h.read(out);
+        let (si, p) = self.route_slot(key)?;
+        B::borrow_slot(self.store.object(key), p).read(out);
         self.store.shard(si).reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -157,16 +170,17 @@ impl<B: MwFactory> StoreHandle<B> {
         if out.len() != self.store.width() {
             return Err(StoreError::WrongValueLen { expected: self.store.width(), got: out.len() });
         }
-        let (si, mut h) = self.object_handle(key)?;
-        let shard = self.store.shard(si);
+        let (si, p) = self.route_slot(key)?;
+        let store = &*self.store;
+        let mut h = B::borrow_slot(store.object(key), p);
         loop {
             h.ll(out);
             f(out);
             if h.sc(out) {
-                shard.updates.fetch_add(1, Ordering::Relaxed);
+                store.shard(si).updates.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
-            shard.update_retries.fetch_add(1, Ordering::Relaxed);
+            store.shard(si).update_retries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -178,14 +192,27 @@ impl<B: MwFactory> StoreHandle<B> {
         Ok(out)
     }
 
-    /// Reads many keys, returning values in the order of `keys`.
+    /// Reads many keys, returning values in the order of `keys`: a
+    /// wrapper over [`read_many_into`](Self::read_many_into), with its
+    /// batching and all-or-nothing validation, that splits the flat
+    /// result into one `Vec` per key.
+    pub fn read_many(&mut self, keys: &[u64]) -> Result<Vec<Vec<u64>>, StoreError> {
+        let w = self.store.width();
+        let mut flat = vec![0u64; keys.len() * w];
+        self.read_many_into(keys, &mut flat)?;
+        Ok(flat.chunks_exact(w).map(<[u64]>::to_vec).collect())
+    }
+
+    /// Reads many keys into one flat `keys.len() × W` buffer (value `i`
+    /// lands at `out[i*W..(i+1)*W]`). This is the allocation-free batched
+    /// read: hot callers (the network frontend's coalescer) reuse one
+    /// buffer across ticks.
     ///
-    /// The batch is processed in `(shard, key)` order: shard-slot lookup
-    /// and object-table acquisition are amortized over each run of keys
-    /// landing in the same shard, consecutive duplicate keys reuse one
-    /// claimed object handle, the per-shard operation counter is bumped
-    /// once per run instead of once per key, and the access pattern walks
-    /// each shard's table once instead of hopping between shards per key.
+    /// The batch is processed in `(shard, key)` order: the shard-slot
+    /// lookup is paid once per key up front, consecutive duplicate keys
+    /// share one borrowed object slot, the per-shard operation counter is
+    /// bumped once per run instead of once per key, and each shard's keys
+    /// are visited in key order.
     ///
     /// All-or-nothing for the *reads*: routing is validated and every
     /// needed shard slot is leased *before* the first read, so an error —
@@ -194,34 +221,6 @@ impl<B: MwFactory> StoreHandle<B> {
     /// with the handle whether or not the batch succeeds (leases are
     /// handle-lifetime state, as with every other operation), so a failed
     /// batch can still raise [`leased_shards`](Self::leased_shards).
-    pub fn read_many(&mut self, keys: &[u64]) -> Result<Vec<Vec<u64>>, StoreError> {
-        let w = self.store.width();
-        let order = self.batch_prepass(keys)?;
-
-        let store = Arc::clone(&self.store);
-        let runs = resolve_runs(&store, &order);
-        let mut out = vec![vec![0u64; w]; keys.len()];
-        let mut counters = CounterRun::new();
-        for (at, end, obj) in runs {
-            let si = order[at].0; // runs partition 0..order.len()
-            let p = self.slots[si].expect("leased in the pre-pass above") as usize; // lint: panic-ok(pre-pass leased every shard in `order`; bounds per `runs`)
-            let mut h = claim_owned::<B>(&obj, p);
-            // run bounds from resolve_runs
-            for &(_, i, _) in &order[at..end] {
-                h.read(&mut out[i]); // i < keys.len(): out sized to match
-            }
-            counters.count(&store, si, (end - at) as u64, 0, bump_reads);
-        }
-        counters.flush(&store, bump_reads);
-        Ok(out)
-    }
-
-    /// Reads many keys into one flat `keys.len() × W` buffer (value `i`
-    /// lands at `out[i*W..(i+1)*W]`), with the exact batching economics
-    /// and all-or-nothing validation of [`read_many`](Self::read_many) —
-    /// minus its per-key allocations. This is the allocation-free
-    /// batched read: hot callers (the network frontend's coalescer)
-    /// reuse one buffer across ticks.
     // lint: no-alloc
     pub fn read_many_into(&mut self, keys: &[u64], out: &mut [u64]) -> Result<(), StoreError> {
         let w = self.store.width();
@@ -230,20 +229,17 @@ impl<B: MwFactory> StoreHandle<B> {
         }
         let order = self.batch_prepass(keys)?;
 
-        let store = Arc::clone(&self.store);
-        let runs = resolve_runs(&store, &order);
+        let store = &*self.store;
         let mut counters = CounterRun::new();
-        for (at, end, obj) in runs {
-            let si = order[at].0; // runs partition 0..order.len()
-            let p = self.slots[si].expect("leased in the pre-pass above") as usize; // lint: panic-ok(pre-pass leased every shard in `order`; bounds per `runs`)
-            let mut h = claim_owned::<B>(&obj, p);
-            // run bounds from resolve_runs
-            for &(_, i, _) in &order[at..end] {
-                h.read(&mut out[i * w..(i + 1) * w]); // i < keys.len(): out is keys × w
+        for run in order.chunk_by(|a, b| a.key == b.key) {
+            let e = run[0]; // chunk_by never yields an empty run
+            let mut h = B::borrow_slot(store.object(e.key), e.p);
+            for d in run {
+                h.read(&mut out[d.i * w..(d.i + 1) * w]); // d.i < keys.len(): out is keys × w
             }
-            counters.count(&store, si, (end - at) as u64, 0, bump_reads);
+            counters.count(store, e.si, run.len() as u64, 0, bump_reads);
         }
-        counters.flush(&store, bump_reads);
+        counters.flush(store, bump_reads);
         Ok(())
     }
 
@@ -273,16 +269,16 @@ impl<B: MwFactory> StoreHandle<B> {
     /// This is the batched write path: entries are processed in
     /// `(shard, key)` order with the original order preserved between
     /// duplicates of the same key, so router validation, shard-slot
-    /// leasing, object claims, the table lock, the scratch buffer, and
-    /// the per-shard counters are all amortized across the batch — the
-    /// same economics as [`read_many`](Self::read_many), now for
-    /// updates. Entries for the same key go further: the whole run is
-    /// folded into **one LL/SC commit** (several logical updates per
-    /// SC), applied in batch order inside a single atomic step — a
-    /// concurrent reader sees either none or all of a batch's entries
-    /// for one key, never an intermediate prefix. As with
-    /// [`update_with`](Self::update_with), closures may run once per
-    /// LL/SC round and must be pure functions of the value slice.
+    /// leasing, the scratch buffer, and the per-shard counters are all
+    /// amortized across the batch — the same economics as
+    /// [`read_many_into`](Self::read_many_into), now for updates. Entries
+    /// for the same key go further: the whole run is folded into **one
+    /// LL/SC commit** (several logical updates per SC), applied in batch
+    /// order inside a single atomic step — a concurrent reader sees
+    /// either none or all of a batch's entries for one key, never an
+    /// intermediate prefix. As with [`update_with`](Self::update_with),
+    /// closures may run once per LL/SC round and must be pure functions
+    /// of the value slice.
     ///
     /// All-or-nothing *before the first write*: routing is validated and
     /// every needed shard slot is leased up front, so a bad key or an
@@ -331,9 +327,9 @@ impl<B: MwFactory> StoreHandle<B> {
 
     /// Shared batch machinery: validates and sorts `keys` by
     /// `(shard, key, index)`, leases every needed shard slot, then commits
-    /// `apply(i, buf)` for each entry with one LL/SC loop, reusing the
-    /// claimed object handle across runs of equal keys and flushing the
-    /// per-shard counters once per run.
+    /// `apply(i, buf)` for each run of equal keys with one LL/SC loop on
+    /// one borrowed object slot, flushing the per-shard counters once per
+    /// shard run.
     pub(crate) fn batch_update(
         &mut self,
         keys: &[u64],
@@ -341,46 +337,44 @@ impl<B: MwFactory> StoreHandle<B> {
     ) -> Result<(), StoreError> {
         let order = self.batch_prepass(keys)?;
 
-        let store = Arc::clone(&self.store);
-        let runs = resolve_runs(&store, &order);
+        let store = &*self.store;
         let mut buf = vec![0u64; store.width()];
         let mut counters = CounterRun::new();
-        for (at, end, obj) in runs {
-            let si = order[at].0; // runs partition 0..order.len()
-            let p = self.slots[si].expect("leased in the pre-pass above") as usize; // lint: panic-ok(pre-pass leased every shard in `order`; bounds per `runs`)
-            let mut h = claim_owned::<B>(&obj, p);
+        for run in order.chunk_by(|a, b| a.key == b.key) {
+            let e = run[0]; // chunk_by never yields an empty run
+            let mut h = B::borrow_slot(store.object(e.key), e.p);
             let mut retries = 0;
             // The whole run of entries for this key is applied inside ONE
             // LL/SC commit — several logical updates per SC.
             loop {
                 h.ll(&mut buf);
-                // run bounds from resolve_runs
-                for &(_, i, _) in &order[at..end] {
-                    apply(i, &mut buf);
+                for d in run {
+                    apply(d.i, &mut buf);
                 }
                 if h.sc(&buf) {
                     break;
                 }
                 retries += 1;
             }
-            counters.count(&store, si, (end - at) as u64, retries, bump_updates);
+            counters.count(store, e.si, run.len() as u64, retries, bump_updates);
         }
-        counters.flush(&store, bump_updates);
+        counters.flush(store, bump_updates);
         Ok(())
     }
 
-    /// The batch pre-pass shared by `read_many` and `batch_update`:
+    /// The batch pre-pass shared by `read_many_into` and `batch_update`:
     /// validates every route, sorts by `(shard, key, index)` (ties on the
-    /// same key keep batch order), and leases every needed shard slot so
-    /// capacity failures surface before any key is touched.
-    fn batch_prepass(&mut self, keys: &[u64]) -> Result<Vec<(usize, usize, u64)>, StoreError> {
-        let mut order: Vec<(usize, usize, u64)> = Vec::with_capacity(keys.len());
+    /// same key keep batch order, and equal keys end up adjacent), and
+    /// leases every needed shard slot so capacity failures surface before
+    /// any key is touched.
+    fn batch_prepass(&mut self, keys: &[u64]) -> Result<Vec<Entry>, StoreError> {
+        let mut order = Vec::with_capacity(keys.len());
         for (i, &key) in keys.iter().enumerate() {
-            order.push((self.store.route(key)?, i, key));
+            order.push(Entry { si: self.store.route(key)?, p: 0, i, key });
         }
-        order.sort_unstable_by_key(|&(si, i, key)| (si, key, i));
-        for &(si, _, _) in &order {
-            self.slot_for(si)?;
+        order.sort_unstable_by_key(|e| (e.si, e.key, e.i));
+        for e in &mut order {
+            e.p = self.slot_for(e.si)?;
         }
         Ok(order)
     }
@@ -388,67 +382,18 @@ impl<B: MwFactory> StoreHandle<B> {
 
 /// Counter attribution for the batched read path: a run's ops are
 /// reads, and the read path never produces retries.
-fn bump_reads<B: MwFactory>(shard: &Shard<B>, ops: u64, retries: u64) {
+fn bump_reads(shard: &Shard, ops: u64, retries: u64) {
     debug_assert_eq!(retries, 0, "the read path takes no LL/SC retries");
     shard.reads.fetch_add(ops, Ordering::Relaxed);
 }
 
 /// Counter attribution for the batched write path: logical updates plus
 /// the SC rounds lost to races.
-fn bump_updates<B: MwFactory>(shard: &Shard<B>, ops: u64, retries: u64) {
+fn bump_updates(shard: &Shard, ops: u64, retries: u64) {
     shard.updates.fetch_add(ops, Ordering::Relaxed);
     if retries > 0 {
         shard.update_retries.fetch_add(retries, Ordering::Relaxed);
     }
-}
-
-/// A held read guard on one shard's key table, tagged with the shard
-/// index: the resolve pass keeps it across a run of same-shard keys so
-/// the table lock is acquired once per run, not once per key.
-type ShardTable<'a, B> = Option<(
-    usize,
-    std::sync::RwLockReadGuard<'a, std::collections::HashMap<u64, Arc<<B as MwFactory>::Object>>>,
-)>;
-
-/// Resolves a sorted batch into its key-runs: one `(start, end, object)`
-/// per maximal run of equal keys, materializing first touches along the
-/// way. All table locking happens *inside this pass* — one read-guard
-/// acquisition per shard run, at most one shard's lock held at a time,
-/// and crucially **no lock is held when it returns**, so the commit
-/// loops can run user closures and LL/SC retries without stalling
-/// concurrent first-touchers or deadlocking a re-entrant caller.
-fn resolve_runs<B: MwFactory>(
-    store: &Store<B>,
-    order: &[(usize, usize, u64)],
-) -> Vec<(usize, usize, Arc<B::Object>)> {
-    let mut runs = Vec::new();
-    let mut table: ShardTable<'_, B> = None;
-    let mut at = 0;
-    while at < order.len() {
-        let (si, _, key) = order[at]; // loop guard: at < order.len()
-                                      // The run of entries for this key (adjacent after the sort).
-        let end = at + order[at..].iter().take_while(|&&(s, _, k)| s == si && k == key).count();
-        if !matches!(&table, Some((tsi, _)) if *tsi == si) {
-            // Release the previous shard's guard *before* locking the
-            // next one: never hold two shard table locks at once, so
-            // deadlock-freedom does not hinge on the batch's ordering.
-            drop(table.take());
-            table = Some((si, store.shard_objects(si)));
-        }
-        let hit = table.as_ref().and_then(|(_, map)| map.get(&key).cloned());
-        let obj = hit.unwrap_or_else(|| {
-            // Release the read lock before `object_for` takes the write
-            // lock (holding both would deadlock this thread against
-            // itself).
-            drop(table.take());
-            let obj = store.object_for(si, key);
-            table = Some((si, store.shard_objects(si)));
-            obj
-        });
-        runs.push((at, end, obj));
-        at = end;
-    }
-    runs
 }
 
 /// Accumulates per-shard `(ops, retries)` counter deltas across a sorted
@@ -475,7 +420,7 @@ impl CounterRun {
         si: usize,
         ops: u64,
         retries: u64,
-        apply: impl Fn(&Shard<B>, u64, u64),
+        apply: impl Fn(&Shard, u64, u64),
     ) {
         if self.shard != Some(si) {
             self.flush(store, apply);
@@ -486,7 +431,7 @@ impl CounterRun {
     }
 
     /// Applies the current run's `(ops, retries)` totals and resets.
-    fn flush<B: MwFactory>(&mut self, store: &Store<B>, apply: impl Fn(&Shard<B>, u64, u64)) {
+    fn flush<B: MwFactory>(&mut self, store: &Store<B>, apply: impl Fn(&Shard, u64, u64)) {
         if let Some(si) = self.shard.take() {
             if self.ops > 0 || self.retries > 0 {
                 apply(store.shard(si), self.ops, self.retries);
@@ -495,23 +440,6 @@ impl CounterRun {
         self.ops = 0;
         self.retries = 0;
     }
-}
-
-/// Claims process id `p` on `obj`. Infallible by construction: a claim
-/// of `p` can conflict only with another live claim of `p` on the *same*
-/// object (claim tracking is per-object for every backend), which would
-/// require a second holder of this shard's slot `p` — and the shard
-/// registry grants `p` to exactly one [`StoreHandle`], which takes at
-/// most one claim per object at a time. (Briefly holding claims of `p`
-/// on two *distinct* objects — as the batched paths' cache rotation does
-/// — is fine.)
-fn claim_owned<B: MwFactory>(obj: &Arc<B::Object>, p: usize) -> B::Handle {
-    B::try_claim(obj, p).unwrap_or_else(|e| {
-        // lint: panic-ok(infallible by the slot-exclusivity argument above; a conflict is a registry bug, not an input error)
-        panic!(
-            "shard slot {p} is exclusively leased by this StoreHandle, claim cannot conflict: {e}"
-        )
-    })
 }
 
 impl<B: MwFactory> Drop for StoreHandle<B> {

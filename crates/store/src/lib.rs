@@ -19,17 +19,21 @@
 //! # Architecture
 //!
 //! ```text
-//! key ──fnv──► shard s ──► lazy table ──► per-key B::Object (c slots, W words)
-//!                 │                        B: MwFactory = PaperBackend
-//!                 └─ SlotRegistry(c): one process id per StoreHandle
+//! key ──fnv──► shard s ──► SlotRegistry(c): one process id p per StoreHandle
+//!  │
+//!  └─────────► key table ──► per-key B::Object (c slots, W words), slot p borrowed
+//!                             B: MwFactory = PaperBackend
 //! ```
 //!
-//! * [`Store`] owns `S` cache-line-padded shards. A shard holds a
+//! * [`Store`] owns `S` cache-line-padded shards, each a
 //!   [`SlotRegistry`](mwllsc::SlotRegistry) of `c = shard_capacity`
-//!   process slots and a lazily-populated table of per-key objects — a
-//!   16M-key store allocates **nothing** per key until the key is first
-//!   touched (per-key cost is `3cW + 3c + 1` words once materialized on
-//!   the default backend).
+//!   process slots, and one key table of per-key objects: a directory of
+//!   once-initialized 256-key chunks, each slot of which is initialized
+//!   on the key's first touch. A 16M-key store allocates a 1 MiB
+//!   directory up front and **nothing** per key until the key is first
+//!   touched (then one 4 KiB chunk if the key's chunk is new, plus the
+//!   object: `3cW + 3c + 1` words on the default backend). Key spaces
+//!   above [`Store::MAX_KEYS`] are a typed error.
 //! * The store is **generic over its backend**: the type parameter
 //!   `B: `[`MwFactory`] decides what a shard's key table materializes.
 //!   [`PaperBackend`] (the default — `Store::new` is unchanged) builds
@@ -49,15 +53,19 @@
 //!   [`write_many`](StoreHandle::write_many) process a batch in
 //!   `(shard, key)` order — router validation and every needed shard
 //!   lease happen up front (all-or-nothing before the first
-//!   read/write), the table lock and per-shard counters are paid once
-//!   per shard run instead of once per key, and a run of equal keys is
-//!   folded into **one LL/SC commit**: several logical updates per SC.
+//!   read/write), the per-shard counters are paid once per shard run
+//!   instead of once per key, and a run of equal keys is folded into
+//!   **one LL/SC commit**: several logical updates per SC.
 //! * [`StoreHandle`] leases **one slot per touched shard**, on demand, and
 //!   holds it for its lifetime (the same lease discipline as
 //!   [`MwLlSc::attach`](mwllsc::MwLlSc::attach)). Holding shard slot `p`
-//!   exclusively means `claim(p)` on *any* object in that shard can never
-//!   conflict, so every per-key operation acquires its object handle with
-//!   one uncontended RMW.
+//!   exclusively means no other handle uses process id `p` on *any*
+//!   object in that shard, so a per-key operation just borrows slot `p`
+//!   of the key's object ([`MwFactory::borrow_slot`]). On the paper
+//!   backends an operation takes no lock, no hash probe, no reference
+//!   count and no lease read-modify-write: two `Acquire` loads find the
+//!   object, one load and one store move the slot's `mybuf`, and the
+//!   rest is the paper's own `O(W)` steps.
 //! * [`Store::space`] / [`Store::stats`] roll every materialized object's
 //!   [`SpaceReport`](mwllsc::SpaceReport) (including the substrate's
 //!   retired-words backlog) into one honest [`StoreSpace`] /
@@ -69,10 +77,11 @@
 //! the key's object; [`update`](StoreHandle::update) is the standard
 //! LL/SC retry loop — every LL and SC inside it is wait-free, the loop
 //! itself is lock-free under per-key contention (like any LL/SC loop).
-//! One engineering caveat: the *first* touch of a key takes the owning
-//! shard's table lock to materialize the object (subsequent touches take a
-//! read lock). The lock is sharded `S` ways and never held across an
-//! LL/SC operation.
+//! One engineering caveat: materialization blocks. An operation on a key
+//! that is already materialized never waits; concurrent *first* touches of
+//! one key, or of keys in one not-yet-allocated 256-key chunk, wait for
+//! the first toucher to finish building (the `OnceLock` contract). No
+//! lock is ever held across an LL/SC operation.
 //!
 //! # Quickstart
 //!
@@ -100,6 +109,7 @@ mod dynstore;
 mod handle;
 mod router;
 mod store;
+mod table;
 mod tls;
 
 pub use dynstore::{DynStore, DynStoreHandle};

@@ -1,14 +1,14 @@
 //! The sharded store: configuration, shards, lazy per-key objects, and
 //! the rolled-up space/stats reports.
 
-use mwllsc::sync::{AtomicU64, AtomicUsize, Ordering};
-use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use mwllsc::sync::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mwllsc::{CachePadded, MwFactory, PaperBackend, SlotRegistry};
 
 use crate::handle::StoreHandle;
 use crate::router::Router;
+use crate::table::{self, KeyTable};
 
 /// Configuration for [`Store::try_new`].
 ///
@@ -26,7 +26,8 @@ pub struct StoreConfig {
     pub shard_capacity: usize,
     /// Words per logical variable, `W`.
     pub width: usize,
-    /// Logical key space: valid keys are `0..keys`.
+    /// Logical key space: valid keys are `0..keys`, at most
+    /// [`Store::MAX_KEYS`].
     pub keys: u64,
     /// Initial value of every variable (length `width`).
     pub initial: Vec<u64>,
@@ -59,6 +60,14 @@ pub enum StoreError {
     ZeroWords,
     /// `keys` was zero.
     ZeroKeys,
+    /// `keys` exceeds the largest key space the key table addresses
+    /// ([`Store::MAX_KEYS`]).
+    KeySpaceTooLarge {
+        /// The requested key-space size.
+        keys: u64,
+        /// The largest admissible value.
+        max: u64,
+    },
     /// `shard_capacity` exceeds the backend's per-object process ceiling
     /// ([`MwFactory::max_processes`] — `Layout::MAX_PROCESSES` for the
     /// paper backends).
@@ -107,6 +116,9 @@ impl std::fmt::Display for StoreError {
             Self::ZeroShardCapacity => write!(f, "shard capacity must be at least 1"),
             Self::ZeroWords => write!(f, "word count W must be at least 1"),
             Self::ZeroKeys => write!(f, "key space must hold at least 1 key"),
+            Self::KeySpaceTooLarge { keys, max } => {
+                write!(f, "key space of {keys} keys exceeds the addressable {max}")
+            }
             Self::ShardCapacityTooLarge { capacity, max } => {
                 write!(f, "shard capacity {capacity} exceeds the per-object process ceiling {max}")
             }
@@ -128,18 +140,14 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// One shard: a slot registry for handle leases plus the lazily-populated
-/// table of per-key objects.
-pub(crate) struct Shard<B: MwFactory> {
+/// One shard: the slot registry for handle leases, plus its operation
+/// counters.
+pub(crate) struct Shard {
     /// Shard-level slot leases. A [`StoreHandle`] holding slot `p` here
-    /// owns process id `p` in *every* object of this shard, so its
-    /// per-operation `claim(p)` can never conflict.
+    /// owns process id `p` in *every* object of this shard, so it can
+    /// borrow slot `p` of any of them per operation
+    /// ([`MwFactory::borrow_slot`]) without a lease of its own.
     pub(crate) registry: SlotRegistry,
-    /// key → object, populated on first touch.
-    objects: RwLock<HashMap<u64, Arc<B::Object>>>,
-    /// Materialized-object count, mirrored outside the lock so stats and
-    /// space rollups stay cheap.
-    touched: AtomicUsize,
     // Operation counters live *per shard* (inside the shard's padded
     // block), not on the `Store`: a single store-global counter would be
     // one cache line RMW'd by every thread on every operation — exactly
@@ -162,7 +170,7 @@ pub(crate) struct Shard<B: MwFactory> {
 /// # Backends
 ///
 /// The type parameter `B` selects the *backend*: the LL/SC implementation
-/// a shard's key table materializes. The default [`PaperBackend`] keeps
+/// the key table materializes. The default [`PaperBackend`] keeps
 /// the original API — `Store::new(...)` still builds a store of paper
 /// objects over the tagged substrate — while
 /// `Store::<EpochBackend>::new_in(...)` (or any other [`MwFactory`])
@@ -172,7 +180,9 @@ pub(crate) struct Shard<B: MwFactory> {
 /// [`DynStore`](crate::DynStore) view.
 pub struct Store<B: MwFactory = PaperBackend> {
     router: Router,
-    shards: Box<[CachePadded<Shard<B>>]>,
+    shards: Box<[CachePadded<Shard>]>,
+    /// key → object, materialized on first touch.
+    table: KeyTable<B::Object>,
     shard_capacity: usize,
     w: usize,
     keys: u64,
@@ -192,6 +202,12 @@ impl<B: MwFactory> std::fmt::Debug for Store<B> {
 }
 
 impl Store {
+    /// The largest key space a store (of any backend) addresses: `keys`
+    /// above this is a [`StoreError::KeySpaceTooLarge`]. The key table's
+    /// directory — its one allocation proportional to `keys` — costs
+    /// 1/16 byte per key, so this bounds it at 256 MiB.
+    pub const MAX_KEYS: u64 = table::MAX_KEYS;
+
     /// Creates a [`PaperBackend`] store, reporting configuration problems
     /// as typed errors.
     ///
@@ -216,9 +232,9 @@ impl<B: MwFactory> Store<B> {
     /// Creates a store over backend `B`, reporting configuration problems
     /// as typed errors.
     ///
-    /// Nothing is allocated per key here: a shard starts as an empty table
-    /// plus a slot registry, and a key's object is materialized on first
-    /// touch. (For inference reasons the backend-generic constructors
+    /// Nothing is allocated per key here: the key table starts as a
+    /// directory of empty chunks (1/16 byte per key) and a key's object is
+    /// materialized on first touch. (For inference reasons the backend-generic constructors
     /// carry the `_in` suffix, mirroring `MwLlSc::try_new_in`; the
     /// unsuffixed [`Store::try_new`]/[`Store::new`] build the default
     /// [`PaperBackend`].)
@@ -236,6 +252,9 @@ impl<B: MwFactory> Store<B> {
         if keys == 0 {
             return Err(StoreError::ZeroKeys);
         }
+        if keys > table::MAX_KEYS {
+            return Err(StoreError::KeySpaceTooLarge { keys, max: table::MAX_KEYS });
+        }
         if shard_capacity > B::max_processes() {
             return Err(StoreError::ShardCapacityTooLarge {
                 capacity: shard_capacity,
@@ -251,14 +270,13 @@ impl<B: MwFactory> Store<B> {
                 .map(|_| {
                     CachePadded::new(Shard {
                         registry: SlotRegistry::new(shard_capacity),
-                        objects: RwLock::new(HashMap::new()),
-                        touched: AtomicUsize::new(0),
                         reads: AtomicU64::new(0),
                         updates: AtomicU64::new(0),
                         update_retries: AtomicU64::new(0),
                     })
                 })
                 .collect(),
+            table: KeyTable::new(keys),
             shard_capacity,
             w: width,
             keys,
@@ -319,10 +337,11 @@ impl<B: MwFactory> Store<B> {
         self.keys
     }
 
-    /// Number of logical keys materialized so far.
+    /// Number of logical keys materialized so far, counted by walking the
+    /// key table (no per-operation counter keeps it).
     #[must_use]
     pub fn touched_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.touched.load(Ordering::Relaxed)).sum()
+        self.table.iter().count()
     }
 
     /// Number of shard slots currently leased by live [`StoreHandle`]s.
@@ -353,34 +372,18 @@ impl<B: MwFactory> Store<B> {
         Ok(self.router.shard_of(key))
     }
 
-    pub(crate) fn shard(&self, si: usize) -> &Shard<B> {
+    pub(crate) fn shard(&self, si: usize) -> &Shard {
         &self.shards[si] // si comes from router.shard_of, bounded by shard count
     }
 
-    /// Read-locks shard `si`'s key table. The batched paths hold this
-    /// across a whole run of same-shard keys, paying one lock acquisition
-    /// per run instead of one per key.
-    pub(crate) fn shard_objects(
-        &self,
-        si: usize,
-    ) -> std::sync::RwLockReadGuard<'_, HashMap<u64, Arc<B::Object>>> {
-        self.shards[si].objects.read().unwrap_or_else(PoisonError::into_inner) // si bounded by shard count (router)
-    }
-
-    /// Returns the object for `key` (which must route to shard `si`),
-    /// materializing it on first touch.
-    pub(crate) fn object_for(&self, si: usize, key: u64) -> Arc<B::Object> {
-        let shard = &self.shards[si]; // si bounded by shard count (router)
-        if let Some(obj) = shard.objects.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            return Arc::clone(obj);
-        }
-        let mut map = shard.objects.write().unwrap_or_else(PoisonError::into_inner);
-        let obj = map.entry(key).or_insert_with(|| {
-            shard.touched.fetch_add(1, Ordering::Relaxed);
+    /// The object for `key` (already checked by [`route`](Self::route)),
+    /// materialized on first touch. A hit is two `Acquire` loads.
+    #[inline]
+    pub(crate) fn object(&self, key: u64) -> &Arc<B::Object> {
+        self.table.get_or_init(key, || {
             B::try_build(self.shard_capacity, self.w, &self.initial)
                 .expect("per-key config was validated at store construction") // lint: panic-ok(try_build was proven Ok for this exact config at construction)
-        });
-        Arc::clone(obj)
+        })
     }
 
     /// Rolls every materialized object's space accounting (including the
@@ -397,13 +400,10 @@ impl<B: MwFactory> Store<B> {
         let mut shared_words = 0;
         let mut retired_words = 0;
         let mut touched_keys = 0;
-        for shard in self.shards.iter() {
-            let map = shard.objects.read().unwrap_or_else(PoisonError::into_inner);
-            touched_keys += map.len();
-            for obj in map.values() {
-                shared_words += B::measured_shared_words(obj);
-                retired_words += B::retired_words(obj);
-            }
+        for obj in self.table.iter() {
+            touched_keys += 1;
+            shared_words += B::measured_shared_words(obj);
+            retired_words += B::retired_words(obj);
         }
         StoreSpace {
             backend: B::NAME,
@@ -425,16 +425,15 @@ impl<B: MwFactory> Store<B> {
             s.reads += shard.reads.load(Ordering::Relaxed);
             s.updates += shard.updates.load(Ordering::Relaxed);
             s.update_retries += shard.update_retries.load(Ordering::Relaxed);
-            let map = shard.objects.read().unwrap_or_else(PoisonError::into_inner);
-            s.objects += map.len();
-            for obj in map.values() {
-                let os = B::object_stats(obj);
-                s.ll_ops += os.ll_ops;
-                s.sc_attempts += os.sc_attempts;
-                s.sc_successes += os.sc_successes;
-                s.lls_helped += os.lls_helped;
-                s.helps_given += os.helps_given;
-            }
+        }
+        for obj in self.table.iter() {
+            let os = B::object_stats(obj);
+            s.objects += 1;
+            s.ll_ops += os.ll_ops;
+            s.sc_attempts += os.sc_attempts;
+            s.sc_successes += os.sc_successes;
+            s.lls_helped += os.lls_helped;
+            s.helps_given += os.helps_given;
         }
         s
     }
@@ -448,8 +447,8 @@ impl<B: MwFactory> Store<B> {
 /// initialization. The invariant
 /// `shared_words == touched_keys × per_key_shared_words` is asserted by
 /// the store stress tests. Word counts are logical registers (the paper's
-/// unit); cache-line alignment slack is excluded by design (see
-/// [`CachePadded`]).
+/// unit); allocator and alignment slack, the key table's slots and the
+/// objects' own headers are excluded by design (see [`CachePadded`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StoreSpace {
@@ -562,10 +561,9 @@ mod tests {
     fn lazy_materialization_counts_touches_once() {
         let store = Store::new(StoreConfig::new(4, 2, 1, 1000));
         assert_eq!(store.touched_keys(), 0);
-        let si = store.route(17).unwrap();
-        let a = store.object_for(si, 17);
-        let b = store.object_for(si, 17);
-        assert!(Arc::ptr_eq(&a, &b), "one object per key");
+        let a = store.object(17);
+        let b = store.object(17);
+        assert!(Arc::ptr_eq(a, b), "one object per key");
         assert_eq!(store.touched_keys(), 1);
         assert_eq!(store.space().shared_words, store.space().per_key_shared_words);
     }
@@ -578,6 +576,20 @@ mod tests {
             store.route(10).unwrap_err(),
             StoreError::KeyOutOfRange { key: 10, capacity: 10 }
         );
+    }
+
+    #[test]
+    fn key_spaces_beyond_the_table_are_a_typed_error() {
+        let max = Store::MAX_KEYS;
+        assert_eq!(
+            Store::try_new(StoreConfig::new(2, 1, 1, max + 1)).unwrap_err(),
+            StoreError::KeySpaceTooLarge { keys: max + 1, max }
+        );
+        assert_eq!(
+            Store::try_new(StoreConfig::new(2, 1, 1, u64::MAX)).unwrap_err(),
+            StoreError::KeySpaceTooLarge { keys: u64::MAX, max }
+        );
+        assert!(StoreError::KeySpaceTooLarge { keys: 9, max: 8 }.to_string().contains("9 keys"));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! shard) and balance (shard load within 2× of ideal across 64 shards).
 //!
 //! Both properties are load-bearing for the store. Stability is
-//! correctness: two handles disagreeing on a key's shard would materialize
-//! two objects for one logical variable. Balance is the scaling claim: a
-//! skewed router would concentrate slot leases, table locks and cache
-//! traffic on a few shards and void the point of sharding.
+//! correctness: a key's shard decides which slot lease gives a handle its
+//! process id on the key's object, so two handles disagreeing on the shard
+//! could both use one process id there. Balance is the scaling claim: a
+//! skewed router would concentrate slot leases and cache traffic on a few
+//! shards and void the point of sharding.
 
 use proptest::prelude::*;
 
