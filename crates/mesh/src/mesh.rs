@@ -11,7 +11,6 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use mwllsc::sync::{AtomicBool, AtomicU64, Ordering};
 use mwllsc::{MwFactory, PaperBackend};
@@ -38,19 +37,11 @@ pub struct MeshConfig {
     /// Most *messages* a worker drains from one link per wave, bounding
     /// wave latency under a firehose caller.
     pub max_wave_run: usize,
-    /// How long an idle worker parks before re-scanning its rings (a
-    /// wakeup bound, not a poll interval: callers unpark it on push).
-    pub idle_sleep: Duration,
 }
 
 impl Default for MeshConfig {
     fn default() -> Self {
-        Self {
-            workers: 1,
-            ring_capacity: 256,
-            max_wave_run: 512,
-            idle_sleep: Duration::from_micros(50),
-        }
+        Self { workers: 1, ring_capacity: 256, max_wave_run: 512 }
     }
 }
 
@@ -73,13 +64,6 @@ impl MeshConfig {
     #[must_use]
     pub fn with_max_wave_run(mut self, run: usize) -> Self {
         self.max_wave_run = run;
-        self
-    }
-
-    /// Sets the idle-park bound.
-    #[must_use]
-    pub fn with_idle_sleep(mut self, idle: Duration) -> Self {
-        self.idle_sleep = idle;
         self
     }
 }
@@ -209,7 +193,6 @@ impl<B: MwFactory> Mesh<B> {
                 width,
                 key_capacity: store.key_capacity(),
                 max_wave_run: cfg.max_wave_run.max(1),
-                idle_sleep: cfg.idle_sleep,
             };
             let spawned = std::thread::Builder::new()
                 .name(format!("mwllsc-mesh-{i}"))

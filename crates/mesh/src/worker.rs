@@ -34,9 +34,11 @@ pub(crate) struct Knobs {
     pub key_capacity: u64,
     /// Per-link per-wave message budget.
     pub max_wave_run: usize,
-    /// Idle-park bound.
-    pub idle_sleep: Duration,
 }
+
+/// How long an idle worker parks before re-scanning its rings: a wakeup
+/// bound, not a poll interval, since callers unpark it on every push.
+const IDLE_PARK: Duration = Duration::from_micros(50);
 
 /// Reusable wave buffers: allocated once per worker, cleared per wave.
 #[derive(Default)]
@@ -168,7 +170,7 @@ pub(crate) fn run(
             if pending {
                 shared.parker.cancel();
             } else {
-                shared.parker.wait(knobs.idle_sleep);
+                shared.parker.wait(IDLE_PARK);
             }
         }
     }

@@ -4,9 +4,11 @@
 //! A [`Conn`] owns one non-blocking `TcpStream` plus three buffers: raw
 //! inbound bytes awaiting a complete frame, decoded requests awaiting
 //! dispatch (the *pipeline*), and encoded response bytes awaiting the
-//! socket. The worker drives each connection through
-//! [`poll_read`](Conn::poll_read) → wave dispatch (see
-//! [`coalesce`](crate::coalesce)) → [`flush`](Conn::flush) every tick.
+//! socket. On each worker tick a connection the poll reported readable
+//! goes through [`poll_read`](Conn::poll_read), every connection with
+//! decoded requests joins wave dispatch (see
+//! [`coalesce`](crate::coalesce)), and every connection with queued
+//! output gets one [`flush`](Conn::flush).
 //!
 //! Framing errors poison the connection: once bytes fail to parse there
 //! is no resynchronization point in a length-prefixed stream, so the
@@ -17,13 +19,15 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 
 use crate::proto::{decode_request, Decoded, FrameError, Request};
 
-/// Bytes read from a socket per tick: large enough to swallow a deep
-/// pipeline in one syscall, small enough that one firehose connection
-/// cannot starve its siblings on a tick.
-const READ_CHUNK: usize = 64 * 1024;
+/// Bytes read from a socket per readiness event (the size of each
+/// worker's one read buffer): large enough to swallow a deep pipeline in
+/// one syscall, small enough that one firehose connection cannot starve
+/// its siblings on a tick.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// One pipelined item awaiting dispatch.
 #[derive(Debug)]
@@ -103,54 +107,53 @@ impl Conn {
         self.poisoned = true;
     }
 
-    /// Reads whatever the socket has (up to one chunk) and decodes every
-    /// complete frame into the pipeline. Returns `true` if any byte or
-    /// frame was consumed.
-    pub(crate) fn poll_read(&mut self) -> bool {
+    /// Makes one read of at most `chunk.len()` bytes (the worker passes
+    /// its [`READ_CHUNK`] buffer) and decodes every complete frame into the
+    /// pipeline. Whatever the socket still holds stays readable, and the
+    /// level-triggered poll reports it again on the next tick. Returns
+    /// `true` if any byte, frame, or end of stream was consumed.
+    pub(crate) fn poll_read(&mut self, chunk: &mut [u8]) -> bool {
         if !self.wants_read() {
             return false;
         }
-        let mut progressed = false;
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
+        let read = loop {
+            match self.stream.read(chunk) {
                 Ok(0) => {
                     self.eof = true;
-                    break;
+                    break true;
                 }
                 Ok(n) => {
                     self.inbuf.extend_from_slice(&chunk[..n]); // read() returned n <= chunk.len()
-                    progressed = true;
-                    if n < chunk.len() {
-                        break;
-                    }
+                    break true;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     // Treat hard read errors like EOF: serve what was
                     // decoded, then close.
                     self.eof = true;
-                    break;
+                    break true;
                 }
             }
+        };
+        // Frames already in `inbuf` were decoded when they arrived; only
+        // new bytes can complete another.
+        if read {
+            self.decode_pipeline();
         }
-        progressed |= self.decode_pipeline();
-        progressed
+        read
     }
 
     /// Decodes complete frames off the front of `inbuf` until it holds
     /// only a prefix (or the stream poisons).
-    fn decode_pipeline(&mut self) -> bool {
+    fn decode_pipeline(&mut self) {
         let mut at = 0;
-        let mut progressed = false;
         while !self.poisoned {
             // at <= inbuf.len(): advanced by consumed frame lengths
             match decode_request(&self.inbuf[at..]) {
                 Ok(Decoded::Frame(req, consumed)) => {
                     self.pending.push_back(Pending::Req(req));
                     at += consumed;
-                    progressed = true;
                 }
                 Ok(Decoded::NeedMore) => break,
                 Err(e) => {
@@ -162,7 +165,6 @@ impl Conn {
                     self.pending.push_back(Pending::Bad(e));
                     self.inbuf.clear();
                     at = 0;
-                    progressed = true;
                     self.eof = true;
                     break;
                 }
@@ -171,7 +173,6 @@ impl Conn {
         if at > 0 {
             self.inbuf.drain(..at);
         }
-        progressed
     }
 
     /// Writes as much queued output as the socket accepts. Returns
@@ -208,5 +209,67 @@ impl Conn {
             self.out_at = 0;
         }
         progressed
+    }
+}
+
+impl AsRawFd for Conn {
+    fn as_raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::encode_request;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    /// A firehose peer cannot make one readiness event consume more than
+    /// one chunk, and the chunks it does take decode every frame in order.
+    #[test]
+    fn poll_read_takes_one_chunk_per_call_and_decodes_in_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0).unwrap();
+
+        let mut frame = Vec::new();
+        encode_request(&Request::Get { key: 0 }, &mut frame);
+        let n_frames = 3 * READ_CHUNK / frame.len() + 64;
+        let mut wire = Vec::new();
+        for key in 0..n_frames as u64 {
+            encode_request(&Request::Get { key }, &mut wire);
+        }
+        assert!(wire.len() > 3 * READ_CHUNK);
+        let producer = std::thread::spawn(move || peer.write_all(&wire).map(|()| peer));
+
+        // Wait until the socket holds more than one chunk, so an
+        // unbudgeted read loop would show.
+        let mut probe = vec![0u8; 2 * READ_CHUNK];
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while conn.stream.peek(&mut probe).unwrap_or(0) <= READ_CHUNK && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let mut chunk = vec![0u8; READ_CHUNK];
+        assert!(conn.poll_read(&mut chunk));
+        let consumed = conn.pending.len() * frame.len() + conn.inbuf.len();
+        assert!(consumed <= READ_CHUNK, "one call consumed {consumed} bytes");
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while conn.pending.len() < n_frames {
+            assert!(Instant::now() < deadline, "decoded {} of {n_frames}", conn.pending.len());
+            if !conn.poll_read(&mut chunk) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let _peer = producer.join().unwrap().unwrap();
+        for (i, p) in conn.pending.iter().enumerate() {
+            assert!(
+                matches!(p, Pending::Req(Request::Get { key }) if *key == i as u64),
+                "frame {i}: {p:?}"
+            );
+        }
+        assert!(conn.inbuf.is_empty() && !conn.eof);
     }
 }

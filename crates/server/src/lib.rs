@@ -10,10 +10,13 @@
 //!
 //! # Architecture
 //!
-//! - **Reactor** (`reactor`): one acceptor thread with a non-blocking
-//!   listener deals connections round-robin to worker threads
-//!   (thread-per-core model — workers never share a connection, so
-//!   connection state needs no locks).
+//! - **Reactor** (`reactor`, `sys`): one acceptor thread deals
+//!   connections round-robin to worker threads (thread-per-core model —
+//!   workers never share a connection, so connection state needs no
+//!   locks). Every thread blocks in `poll(2)` on its sockets plus a
+//!   waker, so an idle server costs no CPU and a ready socket is served
+//!   at once; the acceptor wakes a worker when it hands it a connection,
+//!   and shutdown wakes them all.
 //! - **Protocol** ([`proto`]): length-prefixed binary frames, versioned
 //!   header, `GET`/`SET`/`UPDATE`/`MGET`/`MSET`, typed error replies
 //!   mirroring [`StoreError`](mwllsc_store::StoreError). Decoding is
@@ -30,9 +33,9 @@
 //!   request.
 //! - **Workers** (`worker`): each owns one
 //!   [`DynStoreHandle`](mwllsc_store::DynStoreHandle) (one shard-slot
-//!   lease per touched shard), ticking read → coalesce → dispatch →
-//!   flush, with slow-reader backpressure and a graceful drain on
-//!   shutdown.
+//!   lease per touched shard), ticking wait → read the ready
+//!   connections → coalesce → dispatch → one flush per connection, with
+//!   slow-reader backpressure and a graceful drain on shutdown.
 //!
 //! # Ordering guarantees
 //!
@@ -73,7 +76,7 @@
 //! [`update_many`]: mwllsc_store::StoreHandle::update_many
 //! [`read_many`]: mwllsc_store::StoreHandle::read_many
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod client;
@@ -83,6 +86,9 @@ pub mod proto;
 mod reactor;
 mod route;
 mod stats;
+// The crate's only unsafe code: the `poll(2)` binding.
+#[allow(unsafe_code)]
+mod sys;
 mod worker;
 
 use mwllsc::sync::{AtomicBool, Ordering};
@@ -102,6 +108,7 @@ pub use stats::{ServerStats, HIST_BUCKETS};
 
 use coalesce::Validator;
 use stats::AtomicStats;
+use sys::Waker;
 use worker::WorkerCfg;
 
 /// Server construction knobs. `Default` binds an ephemeral loopback
@@ -127,8 +134,6 @@ pub struct ServerConfig {
     /// than this spreads across successive waves, bounding wave latency
     /// and letting backpressure engage between slices.
     pub max_wave_run: usize,
-    /// Worker sleep when a tick moved nothing.
-    pub idle_sleep: Duration,
     /// How long [`Server::shutdown`] keeps flushing already-computed
     /// responses before dropping undrained connections.
     pub drain_timeout: Duration,
@@ -142,7 +147,6 @@ impl Default for ServerConfig {
             dispatch: Dispatch::Coalesced,
             max_conn_out_bytes: 256 * 1024,
             max_wave_run: 512,
-            idle_sleep: Duration::from_micros(50),
             drain_timeout: Duration::from_millis(500),
         }
     }
@@ -171,6 +175,10 @@ impl ServerConfig {
 pub struct Server {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// The acceptor's and every worker's waker: setting `stop` must be
+    /// followed by waking each, or a thread blocked in `poll` never sees
+    /// it.
+    wakers: Vec<Arc<Waker>>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<AtomicStats>,
@@ -231,30 +239,39 @@ impl Server {
             dispatch: config.dispatch,
             max_conn_out_bytes: config.max_conn_out_bytes,
             max_wave_run: config.max_wave_run.max(1),
-            idle_sleep: config.idle_sleep,
             drain_timeout: config.drain_timeout,
         };
 
-        let mut senders = Vec::with_capacity(routes.len());
-        let mut workers = Vec::with_capacity(routes.len());
+        // Built up in place, so a failed spawn drops a `Server` whose
+        // `halt` stops and joins whatever already started.
+        let acceptor_waker = Arc::new(Waker::new()?);
+        let mut server = Self {
+            local_addr,
+            stop,
+            wakers: vec![Arc::clone(&acceptor_waker)],
+            acceptor: None,
+            workers: Vec::with_capacity(routes.len()),
+            stats,
+        };
+        let mut handoffs = Vec::with_capacity(routes.len());
         for (i, route) in routes.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            let (stats, stop) = (Arc::clone(&stats), Arc::clone(&stop));
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("mwllsc-worker-{i}"))
-                    .spawn(move || worker::run(&rx, route, validator, worker_cfg, &stats, &stop))?,
+            let waker = Arc::new(Waker::new()?);
+            handoffs.push((tx, Arc::clone(&waker)));
+            server.wakers.push(Arc::clone(&waker));
+            let (stats, stop) = (Arc::clone(&server.stats), Arc::clone(&server.stop));
+            server.workers.push(
+                std::thread::Builder::new().name(format!("mwllsc-worker-{i}")).spawn(
+                    move || worker::run(&rx, &waker, route, validator, worker_cfg, &stats, &stop),
+                )?,
             );
         }
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("mwllsc-acceptor".to_owned())
-                .spawn(move || reactor::run_acceptor(&listener, &senders, &stop))?
-        };
-
-        Ok(Self { local_addr, stop, acceptor: Some(acceptor), workers, stats })
+        let stop = Arc::clone(&server.stop);
+        server.acceptor =
+            Some(std::thread::Builder::new().name("mwllsc-acceptor".to_owned()).spawn(
+                move || reactor::run_acceptor(&listener, &acceptor_waker, &handoffs, &stop),
+            )?);
+        Ok(server)
     }
 
     /// The bound listen address (the ephemeral port, for `…:0` configs).
@@ -281,6 +298,9 @@ impl Server {
 
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Release);
+        for waker in &self.wakers {
+            waker.wake();
+        }
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }

@@ -49,6 +49,11 @@ pub struct StoreHandle<B: MwFactory = PaperBackend> {
     store: Arc<Store<B>>,
     /// Per-shard leased slot id; `None` until the shard is first touched.
     slots: Box<[Option<u32>]>,
+    /// Batch scratch, reused across calls so a warmed-up batch path
+    /// allocates nothing: the pre-pass's sorted entries, and the LL/SC
+    /// working value of `batch_update`.
+    order: Vec<Entry>,
+    buf: Vec<u64>,
 }
 
 impl<B: MwFactory> std::fmt::Debug for StoreHandle<B> {
@@ -75,7 +80,8 @@ struct Entry {
 impl<B: MwFactory> StoreHandle<B> {
     pub(crate) fn new(store: Arc<Store<B>>) -> Self {
         let shards = store.shards();
-        Self { store, slots: vec![None; shards].into_boxed_slice() }
+        let buf = vec![0; store.width()];
+        Self { store, slots: vec![None; shards].into_boxed_slice(), order: Vec::new(), buf }
     }
 
     /// The store this handle operates on.
@@ -101,32 +107,14 @@ impl<B: MwFactory> StoreHandle<B> {
         if si >= self.store.shards() {
             return Err(StoreError::ShardExhausted { shard: si, capacity: 0 });
         }
-        self.slot_for(si).map(|_| ())
-    }
-
-    /// This handle's process id within shard `si`, leasing one on first
-    /// touch.
-    fn slot_for(&mut self, si: usize) -> Result<usize, StoreError> {
-        // si < shard count: validated by the caller's key check
-        if let Some(p) = self.slots[si] {
-            return Ok(p as usize);
-        }
-        match self.store.shard(si).registry.lease_any() {
-            Some((p, _payload)) => {
-                self.slots[si] = Some(p as u32); // bounds as above
-                Ok(p)
-            }
-            None => {
-                Err(StoreError::ShardExhausted { shard: si, capacity: self.store.shard_capacity() })
-            }
-        }
+        slot_for(&self.store, &mut self.slots, si).map(|_| ())
     }
 
     /// Routes `key` and returns `(shard, this handle's process id in
     /// it)`, leasing the shard slot on first touch.
     fn route_slot(&mut self, key: u64) -> Result<(usize, usize), StoreError> {
         let si = self.store.route(key)?;
-        Ok((si, self.slot_for(si)?))
+        Ok((si, slot_for(&self.store, &mut self.slots, si)?))
     }
 
     /// Reads the current value of `key` into `out`.
@@ -227,11 +215,11 @@ impl<B: MwFactory> StoreHandle<B> {
         if out.len() != keys.len() * w {
             return Err(StoreError::WrongValueLen { expected: keys.len() * w, got: out.len() });
         }
-        let order = self.batch_prepass(keys)?;
+        self.batch_prepass(keys)?;
 
         let store = &*self.store;
         let mut counters = CounterRun::new();
-        for run in order.chunk_by(|a, b| a.key == b.key) {
+        for run in self.order.chunk_by(|a, b| a.key == b.key) {
             let e = run[0]; // chunk_by never yields an empty run
             let mut h = B::borrow_slot(store.object(e.key), e.p);
             for d in run {
@@ -335,10 +323,9 @@ impl<B: MwFactory> StoreHandle<B> {
         keys: &[u64],
         apply: &mut dyn FnMut(usize, &mut [u64]),
     ) -> Result<(), StoreError> {
-        let order = self.batch_prepass(keys)?;
+        self.batch_prepass(keys)?;
 
-        let store = &*self.store;
-        let mut buf = vec![0u64; store.width()];
+        let Self { store, order, buf, .. } = self;
         let mut counters = CounterRun::new();
         for run in order.chunk_by(|a, b| a.key == b.key) {
             let e = run[0]; // chunk_by never yields an empty run
@@ -347,11 +334,11 @@ impl<B: MwFactory> StoreHandle<B> {
             // The whole run of entries for this key is applied inside ONE
             // LL/SC commit — several logical updates per SC.
             loop {
-                h.ll(&mut buf);
+                h.ll(buf);
                 for d in run {
-                    apply(d.i, &mut buf);
+                    apply(d.i, buf);
                 }
-                if h.sc(&buf) {
+                if h.sc(buf) {
                     break;
                 }
                 retries += 1;
@@ -363,20 +350,45 @@ impl<B: MwFactory> StoreHandle<B> {
     }
 
     /// The batch pre-pass shared by `read_many_into` and `batch_update`:
-    /// validates every route, sorts by `(shard, key, index)` (ties on the
-    /// same key keep batch order, and equal keys end up adjacent), and
-    /// leases every needed shard slot so capacity failures surface before
-    /// any key is touched.
-    fn batch_prepass(&mut self, keys: &[u64]) -> Result<Vec<Entry>, StoreError> {
-        let mut order = Vec::with_capacity(keys.len());
+    /// fills `self.order` with one entry per key, validating every route,
+    /// sorted by `(shard, key, index)` (ties on the same key keep batch
+    /// order, and equal keys end up adjacent), and leases every needed
+    /// shard slot so capacity failures surface before any key is touched.
+    fn batch_prepass(&mut self, keys: &[u64]) -> Result<(), StoreError> {
+        let Self { store, slots, order, .. } = self;
+        order.clear();
+        // Grown to the batch in one step, not by doubling: measured, the
+        // doubling on a fresh handle made a 64k-key bulk preload that
+        // follows it ~30% slower.
+        order.reserve(keys.len());
         for (i, &key) in keys.iter().enumerate() {
-            order.push(Entry { si: self.store.route(key)?, p: 0, i, key });
+            order.push(Entry { si: store.route(key)?, p: 0, i, key });
         }
         order.sort_unstable_by_key(|e| (e.si, e.key, e.i));
-        for e in &mut order {
-            e.p = self.slot_for(e.si)?;
+        for e in order.iter_mut() {
+            e.p = slot_for(store, slots, e.si)?;
         }
-        Ok(order)
+        Ok(())
+    }
+}
+
+/// The handle's process id within shard `si` (`slots` is its per-shard
+/// lease table), leasing one on first touch.
+fn slot_for<B: MwFactory>(
+    store: &Store<B>,
+    slots: &mut [Option<u32>],
+    si: usize,
+) -> Result<usize, StoreError> {
+    // si < shard count == slots.len(): validated by the caller's key check
+    if let Some(p) = slots[si] {
+        return Ok(p as usize);
+    }
+    match store.shard(si).registry.lease_any() {
+        Some((p, _payload)) => {
+            slots[si] = Some(p as u32); // bounds as above
+            Ok(p)
+        }
+        None => Err(StoreError::ShardExhausted { shard: si, capacity: store.shard_capacity() }),
     }
 }
 
