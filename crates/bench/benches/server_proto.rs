@@ -1,10 +1,10 @@
 //! Server protocol hot path: encode/decode cost per frame, the per-byte
 //! tax the network layer adds on top of the store operations it carries.
 //!
-//! The harness (`mwllsc-harness e13-server`) measures end-to-end
-//! requests/sec over loopback; this bench isolates the codec so a
-//! framing regression (extra copies, per-word bounds checks going
-//! quadratic) is visible independent of socket behavior.
+//! The repository benchmark (`perfbench/`, workload `net-pipelined`)
+//! measures end-to-end requests/sec over loopback; this bench isolates
+//! the codec so a framing regression (extra copies, per-word bounds
+//! checks going quadratic) is visible independent of socket behavior.
 
 use std::hint::black_box;
 

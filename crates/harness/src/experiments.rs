@@ -2,7 +2,7 @@
 //! `EXPERIMENTS.md` (see `DESIGN.md` §4 for the experiment index).
 
 use mwllsc::sync::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use llsc_baselines::{try_build, try_build_store, Algo, MwHandle, SpaceEstimate};
@@ -16,7 +16,7 @@ use simsched::sched::{RandomSched, StarveVictim, WeightedRandom};
 use simsched::wg::{check_linearizable, CheckConfig};
 
 use crate::table::{fmt_ns, fmt_ops, Table};
-use crate::timing::{bench_ns, correlation, linear_fit};
+use crate::timing::{bench_ns, correlation, linear_fit, worker_wall};
 
 /// Builds via [`try_build`] and exits the CLI with a clean message (rather
 /// than a panic backtrace) if an experiment sweeps into an invalid
@@ -613,39 +613,40 @@ pub fn e8_compare(quick: bool) {
             let mut retired_high = 0usize;
             for n in [2usize, 4, 8] {
                 let init = vec![0u64; w];
-                let (mut handles, _space) = build(algo, n, w, &init);
-                let start = Instant::now();
-                let mut joins = Vec::new();
-                let mut h0 = handles.remove(0);
-                for mut h in handles {
-                    joins.push(std::thread::spawn(move || {
-                        let mut v = vec![0u64; w];
-                        let mut wins = 0u64;
-                        while wins < per_thread {
-                            h.ll(&mut v);
-                            v[0] += 1;
-                            if h.sc(&v) {
-                                wins += 1;
-                            }
-                        }
-                    }));
-                }
-                let mut v = vec![0u64; w];
-                let mut wins = 0u64;
-                while wins < per_thread {
-                    h0.ll(&mut v);
-                    v[0] += 1;
-                    if h0.sc(&v) {
-                        wins += 1;
-                        // Sample the limbo backlog *during* the storm —
-                        // post-storm it has already decongested to ~0.
-                        retired_high = retired_high.max(h0.space().retired_words);
-                    }
-                }
-                for j in joins {
-                    j.join().unwrap();
-                }
-                let secs = start.elapsed().as_secs_f64();
+                let (handles, _space) = build(algo, n, w, &init);
+                let barrier = Barrier::new(n);
+                let runs: Vec<(Instant, Instant, usize)> = std::thread::scope(|s| {
+                    let joins: Vec<_> = handles
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, mut h)| {
+                            let barrier = &barrier;
+                            s.spawn(move || {
+                                let mut v = vec![0u64; w];
+                                let (mut wins, mut retired) = (0u64, 0usize);
+                                barrier.wait();
+                                let start = Instant::now();
+                                while wins < per_thread {
+                                    h.ll(&mut v);
+                                    v[0] += 1;
+                                    if h.sc(&v) {
+                                        wins += 1;
+                                        // Sample the limbo backlog *during*
+                                        // the storm — post-storm it has
+                                        // already decongested to ~0.
+                                        if i == 0 {
+                                            retired = retired.max(h.space().retired_words);
+                                        }
+                                    }
+                                }
+                                (start, Instant::now(), retired)
+                            })
+                        })
+                        .collect();
+                    joins.into_iter().map(|j| j.join().unwrap()).collect()
+                });
+                retired_high = runs.iter().map(|r| r.2).fold(retired_high, usize::max);
+                let secs = worker_wall(runs.iter().map(|r| (r.0, r.1))).as_secs_f64();
                 let total_ops = per_thread * n as u64;
                 cells.push(fmt_ops(total_ops as f64 / secs));
             }
@@ -729,31 +730,36 @@ pub fn e10_store(quick: bool) {
     ]);
     for shards in [1usize, 2, 4, 8, 16, 32, 64] {
         let store = build_store(StoreConfig::new(shards, threads, w, KEYS));
-        let start = Instant::now();
-        let joins: Vec<_> = (0..threads)
-            .map(|tid| {
-                let store = std::sync::Arc::clone(&store);
-                std::thread::spawn(move || {
-                    let mut h = store.attach();
-                    let mut buf = vec![0u64; w];
-                    let mut x = tid as u64 + 1;
-                    for _ in 0..per_thread {
-                        // SplitMix-ish stream, distinct per thread.
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                        let key = ((x >> 17) % touch) * stride;
-                        h.update_with(key, &mut buf, |v| {
-                            v[0] += 1;
-                            v[1] = v[0] ^ key;
-                        })
-                        .unwrap();
-                    }
+        let barrier = Barrier::new(threads);
+        let spans: Vec<(Instant, Instant)> = std::thread::scope(|s| {
+            let joins: Vec<_> = (0..threads)
+                .map(|tid| {
+                    let (store, barrier) = (&store, &barrier);
+                    s.spawn(move || {
+                        let mut h = store.attach();
+                        let mut buf = vec![0u64; w];
+                        let mut x = tid as u64 + 1;
+                        barrier.wait();
+                        let start = Instant::now();
+                        for _ in 0..per_thread {
+                            // SplitMix-ish stream, distinct per thread.
+                            x = x
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            let key = ((x >> 17) % touch) * stride;
+                            h.update_with(key, &mut buf, |v| {
+                                v[0] += 1;
+                                v[1] = v[0] ^ key;
+                            })
+                            .unwrap();
+                        }
+                        (start, Instant::now())
+                    })
                 })
-            })
-            .collect();
-        for j in joins {
-            j.join().unwrap();
-        }
-        let secs = start.elapsed().as_secs_f64();
+                .collect();
+            joins.into_iter().map(|j| j.join().unwrap()).collect()
+        });
+        let secs = worker_wall(spans).as_secs_f64();
         let space = store.space();
         let stats = store.stats();
         t.row([
@@ -1072,231 +1078,6 @@ pub fn e12_model(_quick: bool) {
     std::process::exit(2);
 }
 
-/// E13 — the network frontend: loopback requests/sec across connection
-/// count × pipeline depth, coalesced vs per-request dispatch, plus a
-/// machine-readable `BENCH_<rev>.json` drop (the perf-trajectory entry
-/// the ROADMAP asks for).
-pub fn e13_server(quick: bool) {
-    use mwllsc_harness::bench_schema::{bench_rev, BenchFile, Cell};
-    use mwllsc_server::{
-        Client, Dispatch, Request, Response, Server, ServerConfig, ServerStats, UpdateOp,
-    };
-
-    println!("## E13 — mwllsc-server: pipelined loopback traffic, coalesced vs per-request\n");
-    println!("Claim: the server's wave coalescer converts socket-level concurrency into");
-    println!("the store's batched paths — each worker tick drains every ready");
-    println!("connection's pipelined frames into one merged (shard, key)-sorted batch,");
-    println!("so equal-key runs from different clients fold into single SC commits.");
-    println!("Per-request dispatch serves the same pipelines one store call at a time;");
-    println!("the delta is what batching buys at the network layer.\n");
-
-    const HOT: u64 = 4;
-    const KEYSPACE: u64 = 256;
-    let per_cell: u64 = if quick { 8_000 } else { 48_000 };
-    let seed: u64 = 0xE13_5EED;
-
-    // 80% of requests hit one of HOT keys (the skewed mix the coalescer
-    // folds), the rest spread uniformly over KEYSPACE.
-    fn skewed_key(n: u64) -> u64 {
-        if n % 10 < 8 {
-            n % HOT
-        } else {
-            HOT + (n >> 8) % (KEYSPACE - HOT)
-        }
-    }
-
-    fn mix(seed: u64, stream: u64) -> u64 {
-        let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// One cell: fresh store + server, `conns` client threads each
-    /// pipelining `depth` increments per round. Returns requests/sec
-    /// and the server's counter snapshot; exits on any exactness miss.
-    fn run_cell(
-        conns: usize,
-        depth: usize,
-        dispatch: Dispatch,
-        per_cell: u64,
-        seed: u64,
-    ) -> (f64, ServerStats) {
-        let rounds = (per_cell / (conns as u64 * depth as u64)).max(1) as usize;
-        let store = Store::new(StoreConfig::new(8, 4, 1, KEYSPACE));
-        let config = ServerConfig::with_workers(1).dispatch(dispatch);
-        let server = Server::start(&store, config).unwrap_or_else(|e| {
-            eprintln!("mwllsc-harness: E13 cannot start server: {e}");
-            std::process::exit(2);
-        });
-        let addr = server.local_addr();
-
-        let barrier = std::sync::Barrier::new(conns + 1);
-        let (wall, acked) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..conns)
-                .map(|t| {
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        let mut c = Client::connect(addr).unwrap();
-                        let mut acked = vec![0u64; KEYSPACE as usize];
-                        barrier.wait();
-                        for r in 0..rounds {
-                            let keys: Vec<u64> = (0..depth)
-                                .map(|i| {
-                                    let n = mix(seed, (t as u64) << 40 | (r * depth + i) as u64);
-                                    skewed_key(n)
-                                })
-                                .collect();
-                            for &k in &keys {
-                                c.send(&Request::Update { key: k, op: UpdateOp::Add(vec![1]) });
-                            }
-                            c.flush().unwrap();
-                            for &k in &keys {
-                                match c.recv().unwrap() {
-                                    Response::Value(_) => acked[k as usize] += 1,
-                                    other => {
-                                        eprintln!("mwllsc-harness: E13 bad reply: {other:?}");
-                                        std::process::exit(2);
-                                    }
-                                }
-                            }
-                        }
-                        acked
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = Instant::now();
-            let per_thread: Vec<Vec<u64>> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            (start.elapsed(), per_thread)
-        });
-
-        // Exactness over the wire: every acknowledged increment landed
-        // exactly once, across all concurrent pipelines.
-        let mut probe = Client::connect(addr).unwrap();
-        let keys: Vec<u64> = (0..KEYSPACE).collect();
-        let values = probe.mget(keys).unwrap().unwrap();
-        for k in 0..KEYSPACE as usize {
-            let expect: u64 = acked.iter().map(|a| a[k]).sum();
-            if values[k][0] != expect {
-                eprintln!(
-                    "mwllsc-harness: E13 exactness FAILED at key {k}: {} != {expect}",
-                    values[k][0]
-                );
-                std::process::exit(2);
-            }
-        }
-        drop(probe);
-
-        let stats = server.shutdown();
-        let total = (conns * depth * rounds) as f64;
-        (total / wall.as_secs_f64(), stats)
-    }
-
-    let grid: &[(usize, usize)] = if quick {
-        &[(4, 8), (8, 32)]
-    } else {
-        &[(1, 1), (1, 32), (4, 8), (8, 8), (8, 32), (16, 32)]
-    };
-
-    println!("### Requests/sec over loopback (1 worker, W = 1, skewed 80/20 key mix,");
-    println!("~{per_cell} UPDATEs per cell; single core — both modes share it with the clients)\n");
-
-    let mut t = Table::new([
-        "conns",
-        "depth",
-        "per-request",
-        "coalesced",
-        "speedup",
-        "mean write batch",
-        "waves",
-    ]);
-    let mut bench_cells: Vec<Cell> = Vec::new();
-    let mut flagship: Option<ServerStats> = None;
-    let mut flagship_speedup = 0.0f64;
-    for &(conns, depth) in grid {
-        let (rps_per, _) = run_cell(conns, depth, Dispatch::PerRequest, per_cell, seed);
-        let (rps_co, stats) = run_cell(conns, depth, Dispatch::Coalesced, per_cell, seed);
-        let speedup = rps_co / rps_per;
-        if conns >= 8 && depth >= 8 {
-            flagship = Some(stats);
-            flagship_speedup = speedup;
-        }
-        for (mode, rps) in [("per-request", rps_per), ("coalesced", rps_co)] {
-            let mut cell = Cell::new(format!("e13/conns={conns}/depth={depth}/{mode}"), true, rps);
-            if mode == "coalesced" {
-                cell = cell
-                    .counter("mean_write_batch", stats.mean_write_batch())
-                    .counter("waves", stats.waves as f64)
-                    .with_hist(stats.batch_hist.to_vec());
-            } else {
-                // Per-request dispatch coalesces nothing, by definition.
-                cell = cell.counter("mean_write_batch", 1.0).counter("waves", 0.0);
-            }
-            bench_cells.push(cell);
-        }
-        t.row([
-            conns.to_string(),
-            depth.to_string(),
-            fmt_ops(rps_per),
-            fmt_ops(rps_co),
-            format!("{speedup:.2}x"),
-            format!("{:.1}", stats.mean_write_batch()),
-            stats.waves.to_string(),
-        ]);
-    }
-    t.print();
-    println!();
-    if let Some(stats) = flagship {
-        let labels = ServerStats::hist_labels();
-        let hist = labels
-            .iter()
-            .zip(stats.batch_hist)
-            .map(|(l, n)| format!("{l}: {n}"))
-            .collect::<Vec<_>>()
-            .join(" · ");
-        println!("Batch-size histogram at the ≥8-conn deep-pipeline cell (coalesced):");
-        println!("{hist}\n");
-        println!("Shape check: depth-1 single-connection traffic has nothing to coalesce");
-        println!("(waves of one request — parity at best, and the wave bookkeeping can");
-        println!("cost a few percent on batches of one); once ≥ 8");
-        println!("connections pipeline ≥ 8 deep, each wave merges tens of requests into");
-        println!("one store batch and folds the hot keys' runs into single SC commits,");
-        println!("which is where the speedup column and the mean-write-batch column");
-        println!("come from.\n");
-        if flagship_speedup < 1.0 {
-            println!("NOTE: coalesced dispatch did not beat per-request at the flagship cell");
-            println!("this run; single-core timing noise — re-run on pinned hardware.\n");
-        }
-    }
-
-    // Machine-readable drop on the shared bench schema (`bench-diff`
-    // consumes it). The E16 flagship grid owns `BENCH_<rev>.json`, so
-    // the server grid drops alongside it with a `_server` suffix.
-    let rev = bench_rev();
-    let backend = Store::new(StoreConfig::new(1, 1, 1, 1)).backend();
-    let labels = ServerStats::hist_labels().join(", ");
-    let mut bench = BenchFile::new(
-        "e13-server",
-        &rev,
-        quick,
-        1,
-        &format!(
-            "backend={backend}; hist buckets are write-batch sizes: {labels}; \
-             per-request rows coalesce nothing (mean_write_batch=1, waves=0, no hist)"
-        ),
-    );
-    for c in bench_cells {
-        bench.push(c);
-    }
-    let path = format!("BENCH_{rev}_server.json");
-    match std::fs::write(&path, bench.to_json()) {
-        Ok(()) => println!("Wrote {path} (throughput, batch histogram, backend).\n"),
-        Err(e) => println!("NOTE: could not write {path}: {e}\n"),
-    }
-}
-
 /// E14 — the static tier: runs `mwllsc-lint` over the workspace in-process
 /// and reports per-rule counts. A clean tree prints an all-zero table; any
 /// finding is listed and the harness exits nonzero, same as CI's
@@ -1344,860 +1125,6 @@ pub fn e14_lint(_quick: bool) {
     }
 }
 
-/// E15 — the shared-nothing mesh: symmetric `StoreHandle` threads vs
-/// mesh `MeshHandle` callers on identical seeded skewed increment
-/// workloads, with an exactness gate (both modes must produce the same
-/// per-key sums), the ring-occupancy histogram, and a
-/// `BENCH_<rev>.json` drop.
-pub fn e15_mesh(quick: bool) {
-    use mwllsc_harness::bench_schema::{bench_rev, BenchFile, Cell};
-    use mwllsc_mesh::{InlineVal, Mesh, MeshConfig, MeshStats, UpdateKind, OCC_BUCKETS};
-
-    println!("## E15 — mwllsc-mesh: symmetric handles vs shared-nothing shard ownership\n");
-    println!("Claim: symmetric StoreHandles make every caller RMW every shard it");
-    println!("touches — cross-core coherence traffic on the X/Bank/Help lines grows");
-    println!("with callers. The mesh pins each shard to one worker thread and ships");
-    println!("operations over bounded SPSC rings instead, so a shard's cache lines");
-    println!("stay resident at their owner and cross-caller batching falls out of");
-    println!("the worker's drain-dispatch waves. Both modes run the *same* seeded");
-    println!("workload; the gate requires their per-key sums to be identical.\n");
-
-    const HOT: u64 = 4;
-    const KEYSPACE: u64 = 256;
-    const MESH_WORKERS: usize = 2;
-    let per_cell: u64 = if quick { 6_000 } else { 48_000 };
-    let seed: u64 = 0xE15_5EED;
-
-    // Same 80/20 skew as E13: the mix that makes cross-caller batching
-    // (and symmetric-mode contention) actually happen.
-    fn skewed_key(n: u64) -> u64 {
-        if n % 10 < 8 {
-            n % HOT
-        } else {
-            HOT + (n >> 8) % (KEYSPACE - HOT)
-        }
-    }
-
-    fn mix(seed: u64, stream: u64) -> u64 {
-        let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// The caller's deterministic batch for round `r` — both modes call
-    /// this with the same seed, so their workloads are word-identical.
-    fn round_keys(seed: u64, caller: usize, r: usize, depth: usize) -> Vec<u64> {
-        (0..depth)
-            .map(|i| skewed_key(mix(seed, (caller as u64) << 40 | (r * depth + i) as u64)))
-            .collect()
-    }
-
-    fn check_exact(label: &str, got: &[u64], acked: &[Vec<u64>]) {
-        for k in 0..KEYSPACE as usize {
-            let expect: u64 = acked.iter().map(|a| a[k]).sum();
-            if got[k] != expect {
-                eprintln!(
-                    "mwllsc-harness: E15 exactness FAILED ({label}, key {k}): {} != {expect}",
-                    got[k]
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Symmetric cell: `callers` threads, each owning a plain
-    /// `StoreHandle`, committing `depth`-key batches directly. Returns
-    /// ops/sec and the per-key totals (for the cross-mode gate).
-    fn run_symmetric(callers: usize, depth: usize, per_cell: u64, seed: u64) -> (f64, Vec<u64>) {
-        let rounds = (per_cell / (callers as u64 * depth as u64)).max(1) as usize;
-        let store = Store::new(StoreConfig::new(8, 32, 1, KEYSPACE));
-        let barrier = std::sync::Barrier::new(callers + 1);
-        let (wall, acked) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..callers)
-                .map(|t| {
-                    let (store, barrier) = (Arc::clone(&store), &barrier);
-                    s.spawn(move || {
-                        let mut h = store.attach();
-                        let mut acked = vec![0u64; KEYSPACE as usize];
-                        barrier.wait();
-                        for r in 0..rounds {
-                            let keys = round_keys(seed, t, r, depth);
-                            h.update_many_with(&keys, |_, v| v[0] += 1).unwrap_or_else(|e| {
-                                eprintln!("mwllsc-harness: E15 symmetric update: {e}");
-                                std::process::exit(2);
-                            });
-                            for &k in &keys {
-                                acked[k as usize] += 1;
-                            }
-                        }
-                        acked
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = Instant::now();
-            let per_thread: Vec<Vec<u64>> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            (start.elapsed(), per_thread)
-        });
-
-        let mut probe = store.attach();
-        let got: Vec<u64> =
-            (0..KEYSPACE).map(|k| probe.read_vec(k).expect("E15 probe read")[0]).collect();
-        check_exact("symmetric", &got, &acked);
-        let totals: Vec<u64> =
-            (0..KEYSPACE as usize).map(|k| acked.iter().map(|a| a[k]).sum()).collect();
-        ((callers * depth * rounds) as f64 / wall.as_secs_f64(), totals)
-    }
-
-    /// Mesh cell: the same workload, but `callers` hold `MeshHandle`s
-    /// and every operation crosses a ring to its shard's owning worker.
-    fn run_mesh(
-        callers: usize,
-        depth: usize,
-        per_cell: u64,
-        seed: u64,
-    ) -> (f64, Vec<u64>, MeshStats) {
-        let rounds = (per_cell / (callers as u64 * depth as u64)).max(1) as usize;
-        let store = Store::new(StoreConfig::new(8, 32, 1, KEYSPACE));
-        let mesh =
-            Mesh::try_new(Arc::clone(&store), MeshConfig::default().with_workers(MESH_WORKERS))
-                .unwrap_or_else(|e| {
-                    eprintln!("mwllsc-harness: E15 cannot start mesh: {e}");
-                    std::process::exit(2);
-                });
-        let barrier = std::sync::Barrier::new(callers + 1);
-        let (wall, acked) = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..callers)
-                .map(|t| {
-                    let (mesh, barrier) = (Arc::clone(&mesh), &barrier);
-                    s.spawn(move || {
-                        let mut h = mesh.attach();
-                        let mut acked = vec![0u64; KEYSPACE as usize];
-                        let one = InlineVal::from_slice(&[1]).unwrap();
-                        barrier.wait();
-                        for r in 0..rounds {
-                            let keys = round_keys(seed, t, r, depth);
-                            h.update_batch(&keys, &mut |_| (UpdateKind::Add, one), None)
-                                .unwrap_or_else(|e| {
-                                    eprintln!("mwllsc-harness: E15 mesh update: {e}");
-                                    std::process::exit(2);
-                                });
-                            for &k in &keys {
-                                acked[k as usize] += 1;
-                            }
-                        }
-                        acked
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = Instant::now();
-            let per_thread: Vec<Vec<u64>> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            (start.elapsed(), per_thread)
-        });
-
-        let mut probe = mesh.attach();
-        let got: Vec<u64> =
-            (0..KEYSPACE).map(|k| probe.read_vec(k).expect("E15 mesh probe read")[0]).collect();
-        check_exact("mesh", &got, &acked);
-        let totals: Vec<u64> =
-            (0..KEYSPACE as usize).map(|k| acked.iter().map(|a| a[k]).sum()).collect();
-        let stats = mesh.stats();
-        drop(probe);
-        mesh.shutdown();
-        if store.live_slot_leases() != 0 {
-            eprintln!("mwllsc-harness: E15 mesh shutdown leaked a shard-slot lease");
-            std::process::exit(2);
-        }
-        ((callers * depth * rounds) as f64 / wall.as_secs_f64(), totals, stats)
-    }
-
-    let grid: &[(usize, usize)] =
-        if quick { &[(2, 8), (4, 32)] } else { &[(1, 1), (2, 8), (4, 8), (4, 32), (8, 32)] };
-
-    println!("### Increments/sec, {MESH_WORKERS} mesh workers, W = 1, skewed 80/20 key mix,");
-    println!("~{per_cell} ops per cell (symmetric = callers committing directly; mesh =");
-    println!("the same callers forwarding over rings to shard owners)\n");
-
-    let mut t =
-        Table::new(["callers", "depth", "symmetric", "mesh", "ratio", "entries/msg", "waves"]);
-    let mut bench_cells: Vec<Cell> = Vec::new();
-    let mut flagship: Option<MeshStats> = None;
-    for &(callers, depth) in grid {
-        let (rps_sym, sums_sym) = run_symmetric(callers, depth, per_cell, seed);
-        let (rps_mesh, sums_mesh, stats) = run_mesh(callers, depth, per_cell, seed);
-        // The cross-mode gate: same seed, same workload, same sums.
-        if sums_sym != sums_mesh {
-            eprintln!("mwllsc-harness: E15 modes diverged on identical workloads");
-            std::process::exit(2);
-        }
-        let packing = stats.entries as f64 / (stats.msgs.max(1)) as f64;
-        for (mode, rps) in [("symmetric", rps_sym), ("mesh", rps_mesh)] {
-            let mut cell =
-                Cell::new(format!("e15/callers={callers}/depth={depth}/{mode}"), true, rps);
-            if mode == "mesh" {
-                cell = cell
-                    .counter("entries", stats.entries as f64)
-                    .counter("msgs", stats.msgs as f64)
-                    .counter("waves", stats.waves as f64)
-                    .with_hist(stats.occ_hist.to_vec());
-            }
-            bench_cells.push(cell);
-        }
-        if callers >= 4 && depth >= 32 {
-            flagship = Some(stats.clone());
-        }
-        t.row([
-            callers.to_string(),
-            depth.to_string(),
-            fmt_ops(rps_sym),
-            fmt_ops(rps_mesh),
-            format!("{:.2}x", rps_mesh / rps_sym),
-            format!("{packing:.2}"),
-            stats.waves.to_string(),
-        ]);
-    }
-    t.print();
-    println!();
-    if let Some(stats) = flagship {
-        let hist = (1..OCC_BUCKETS)
-            .filter(|&b| stats.occ_hist[b] > 0)
-            .map(|b| {
-                let lo = 1u64 << (b - 1);
-                let hi = (1u64 << b) - 1;
-                if lo == hi {
-                    format!("{lo}: {}", stats.occ_hist[b])
-                } else {
-                    format!("{lo}-{hi}: {}", stats.occ_hist[b])
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(" · ");
-        println!("Ring-occupancy histogram at the deep-pipeline cell (drain-time samples");
-        println!("of nonempty request rings): {hist}\n");
-    }
-    println!("Shape check: entries/msg > 1 means the caller's batch packer folded");
-    println!("consecutive same-owner keys into shared ring slots, and entries/wave");
-    println!("(entries ÷ waves) is the cross-caller batch the owning worker handed");
-    println!("the store in one dispatch. On a single core the mesh pays its ring");
-    println!("round-trips with no parallelism to amortize them — the ratio column");
-    println!("is expected to favor symmetric there; the coherence-traffic claim");
-    println!("needs a pinned multi-core re-measurement.\n");
-
-    // Machine-readable drop on the shared bench schema, alongside E13's
-    // `_server` and E16's flagship files.
-    let rev = bench_rev();
-    let backend = Store::new(StoreConfig::new(1, 1, 1, 1)).backend();
-    let mut bench = BenchFile::new(
-        "e15-mesh",
-        &rev,
-        quick,
-        1,
-        &format!(
-            "backend={backend}; mesh_workers={MESH_WORKERS}; hist buckets are log2 ring \
-             occupancy, bucket b covers 2^(b-1)..2^b-1, empty rings unsampled; symmetric \
-             rows have no ring counters"
-        ),
-    );
-    for c in bench_cells {
-        bench.push(c);
-    }
-    let path = format!("BENCH_{rev}_mesh.json");
-    match std::fs::write(&path, bench.to_json()) {
-        Ok(()) => println!("Wrote {path} (both modes' rps, packing, occupancy histogram).\n"),
-        Err(e) => println!("NOTE: could not write {path}: {e}\n"),
-    }
-}
-
-/// E16 — the YCSB-style perf-trajectory grid: seeded key distributions
-/// (zipfian / uniform / 80-20 hot set) and read-update mixes A–C over
-/// three store backends, the server loopback path (both dispatch
-/// modes), the mesh, a handle-churn storm and an update-batch-size
-/// sweep. Every cell doubles as a correctness run — keys are preloaded
-/// to `k + 1` and per-key acked sums are checked exactly after the
-/// clock stops — and the grid lands in the versioned `BENCH_<rev>.json`
-/// that the `bench-diff` regression gate consumes.
-pub fn e16_ycsb(quick: bool) {
-    use mwllsc_harness::bench_schema::{bench_repeats, bench_rev, BenchFile, Cell};
-    use mwllsc_harness::workload::{
-        KeyDist, KeyGen, MixSpec, SplitMix64, MIX_A, MIX_B, MIX_C, MIX_U,
-    };
-    use mwllsc_mesh::{InlineVal, Mesh, MeshConfig, MeshStats, UpdateKind};
-    use mwllsc_server::{
-        Client, Dispatch, Request, Response, Server, ServerConfig, ServerStats, UpdateOp,
-    };
-    use mwllsc_store::DynStoreHandle;
-
-    println!("## E16 — YCSB-style workload grid (the perf-trajectory suite)\n");
-    println!("Claim: one seeded driver exercises the store's batched paths, three");
-    println!("backends, both server dispatch modes and the mesh under the standard");
-    println!("YCSB taxonomy (zipfian theta=0.99 / uniform / 80-20 hot set; mixes");
-    println!("A=50/50 read-update, B=95/5, C=read-only), so perf claims become");
-    println!("diffable BENCH_<rev>.json cells. The workloads are deterministic,");
-    println!("so every cell is also an exactness gate: per-key acked sums must");
-    println!("match the store exactly when the clock stops.\n");
-
-    const KEYS: u64 = 8_192;
-    const ZIPF: KeyDist = KeyDist::Zipfian { theta: 0.99 };
-    const CALLERS: usize = 2;
-    const DEPTH: usize = 32;
-    const CONNS: usize = 4;
-    const SERVER_DEPTH: usize = 16;
-    // Quick cells are sized so release-mode walls stay well above timer
-    // granularity, and quick repeats are high enough that min-of-k
-    // reliably samples the fast scheduling mode (two callers timeslicing
-    // one core are bimodal — a reader can spin out a whole quantum while
-    // the writer is parked). The committed CI baseline is cut with the
-    // same quick protocol so head and baseline share an estimator.
-    let ops: u64 = if quick { 16_000 } else { 60_000 };
-    let repeats = bench_repeats(if quick { 7 } else { 5 });
-    let seed: u64 = 0xE16_5EED;
-
-    fn fail(what: &str, e: impl std::fmt::Display) -> ! {
-        eprintln!("mwllsc-harness: E16 {what}: {e}");
-        std::process::exit(2);
-    }
-
-    /// Materializes every key at `base(k) = k + 1`, so reads have a
-    /// verifiable floor from the first round and read-only cells an
-    /// exact expectation.
-    fn preload(h: &mut dyn DynStoreHandle, keys: u64) {
-        const CHUNK: u64 = 1_024;
-        let mut start = 0u64;
-        while start < keys {
-            let end = (start + CHUNK).min(keys);
-            let vals: Vec<u64> = (start..end).map(|k| k + 1).collect();
-            let batch: Vec<(u64, &[u64])> = (start..end)
-                .map(|k| (k, std::slice::from_ref(&vals[(k - start) as usize])))
-                .collect();
-            if let Err(e) = h.write_many(&batch) {
-                fail("preload", e);
-            }
-            start = end;
-        }
-    }
-
-    /// One measured run of one cell.
-    struct Measured {
-        rps: f64,
-        p50: f64,
-        p99: f64,
-        ok: bool,
-    }
-
-    /// What each worker thread hands back: its own start/end instants
-    /// (the cell wall is `max(end) - min(start)` across workers — on a
-    /// single shared core the *spawning* thread can be descheduled past
-    /// whole worker lifetimes, so timing from the spawner inflates
-    /// throughput by orders of magnitude), per-key acked counts,
-    /// per-round latencies, and its read-check verdict.
-    type WorkerResult = (Instant, Instant, Vec<u64>, Vec<f64>, bool);
-
-    /// Collapses worker results into (wall seconds, acked, lat, ok).
-    fn merge(results: Vec<WorkerResult>) -> (f64, Vec<Vec<u64>>, Vec<f64>, bool) {
-        let t0 = results.iter().map(|r| r.0).min().expect("at least one worker");
-        let t1 = results.iter().map(|r| r.1).max().expect("at least one worker");
-        let mut acked = Vec::with_capacity(results.len());
-        let mut lat = Vec::new();
-        let mut ok = true;
-        for (_, _, a, l, o) in results {
-            acked.push(a);
-            lat.extend(l);
-            ok &= o;
-        }
-        (t1.duration_since(t0).as_secs_f64().max(1e-9), acked, lat, ok)
-    }
-
-    /// Keeps the higher-throughput repeat; the exactness gate must hold
-    /// on every repeat.
-    fn better(a: Measured, b: Measured) -> Measured {
-        let ok = a.ok && b.ok;
-        let mut m = if b.rps > a.rps { b } else { a };
-        m.ok = ok;
-        m
-    }
-
-    /// The min-of-k estimator: best throughput over `repeats` runs.
-    fn best_of(repeats: u64, mut run: impl FnMut() -> Measured) -> Measured {
-        let mut best: Option<Measured> = None;
-        for _ in 0..repeats {
-            let m = run();
-            best = Some(match best {
-                None => m,
-                Some(b) => better(b, m),
-            });
-        }
-        best.expect("repeats >= 1")
-    }
-
-    fn percentiles(lat: &mut [f64]) -> (f64, f64) {
-        lat.sort_by(|a, b| a.total_cmp(b));
-        let at = |q: f64| lat[((lat.len() - 1) as f64 * q) as usize];
-        (at(0.50), at(0.99))
-    }
-
-    /// Checks `k + 1 + Σ acked[k]` for every key through chunked probe
-    /// reads; prints the first mismatch and returns false on divergence.
-    fn check_sums(
-        label: &str,
-        read_chunk: &mut dyn FnMut(&[u64], &mut [u64]),
-        acked: &[Vec<u64>],
-        keys: u64,
-    ) -> bool {
-        const CHUNK: u64 = 2_048;
-        let mut got = vec![0u64; CHUNK as usize];
-        let mut ok = true;
-        let mut start = 0u64;
-        while start < keys {
-            let end = (start + CHUNK).min(keys);
-            let ks: Vec<u64> = (start..end).collect();
-            read_chunk(&ks, &mut got[..ks.len()]);
-            for (i, &k) in ks.iter().enumerate() {
-                let expect = k + 1 + acked.iter().map(|a| a[k as usize]).sum::<u64>();
-                if got[i] != expect && ok {
-                    eprintln!(
-                        "mwllsc-harness: E16 exactness FAILED ({label}, key {k}): \
-                         {} != {expect}",
-                        got[i]
-                    );
-                    ok = false;
-                }
-            }
-            start = end;
-        }
-        ok
-    }
-
-    /// Store-mode cell: `callers` threads drive one `DynStoreHandle`
-    /// each with `depth`-deep rounds split per `mix`; `churn`
-    /// re-attaches the handle every round (the lease-storm option).
-    #[allow(clippy::too_many_arguments)]
-    fn run_store_cell(
-        store: &dyn DynStore,
-        mix: MixSpec,
-        dist: KeyDist,
-        callers: usize,
-        depth: usize,
-        ops: u64,
-        churn: bool,
-        seed: u64,
-    ) -> Measured {
-        let rounds = (ops / (callers as u64 * depth as u64)).max(1) as usize;
-        let keys = store.key_capacity();
-        {
-            let mut h = store.attach_dyn();
-            preload(&mut *h, keys);
-        }
-        let pure_read = mix.read_pct == 100;
-        let barrier = std::sync::Barrier::new(callers + 1);
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..callers)
-                .map(|t| {
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        let mut h = store.attach_dyn();
-                        let mut gen = KeyGen::new(dist, keys);
-                        let mut rng = SplitMix64::new(seed ^ ((t as u64 + 1) << 40));
-                        let mut acked = vec![0u64; keys as usize];
-                        let (mut reads, mut writes) =
-                            (Vec::with_capacity(depth), Vec::with_capacity(depth));
-                        let mut rbuf = vec![0u64; depth];
-                        let mut lat = Vec::with_capacity(rounds);
-                        let mut ok = true;
-                        barrier.wait();
-                        let t_start = Instant::now();
-                        for _ in 0..rounds {
-                            if churn {
-                                h = store.attach_dyn();
-                            }
-                            mix.fill_round(&mut gen, &mut rng, depth, &mut reads, &mut writes);
-                            let t0 = Instant::now();
-                            if !writes.is_empty() {
-                                if let Err(e) = h.update_many_dyn(&writes, &mut |_, v| {
-                                    v[0] = v[0].wrapping_add(1);
-                                }) {
-                                    fail("store update", e);
-                                }
-                            }
-                            if !reads.is_empty() {
-                                if let Err(e) = h.read_many_into(&reads, &mut rbuf[..reads.len()]) {
-                                    fail("store read", e);
-                                }
-                            }
-                            lat.push(t0.elapsed().as_nanos() as f64 / depth as f64);
-                            for &k in &writes {
-                                acked[k as usize] += 1;
-                            }
-                            for (i, &k) in reads.iter().enumerate() {
-                                let floor = k + 1;
-                                if rbuf[i] < floor || (pure_read && rbuf[i] != floor) {
-                                    ok = false;
-                                }
-                            }
-                        }
-                        (t_start, Instant::now(), acked, lat, ok)
-                    })
-                })
-                .collect();
-            barrier.wait();
-            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-        });
-
-        let (wall, acked, mut lat, mut ok) = merge(results);
-        let mut probe = store.attach_dyn();
-        ok &= check_sums(
-            "store",
-            &mut |ks, out| {
-                if let Err(e) = probe.read_many_into(ks, out) {
-                    fail("store probe", e);
-                }
-            },
-            &acked,
-            keys,
-        );
-        let (p50, p99) = percentiles(&mut lat);
-        Measured { rps: (callers * depth * rounds) as f64 / wall, p50, p99, ok }
-    }
-
-    /// Server-mode cell: `conns` pipelined loopback clients, updates as
-    /// ADD frames and reads as GET frames, measured at the client.
-    fn run_server_cell(
-        mix: MixSpec,
-        dist: KeyDist,
-        dispatch: Dispatch,
-        conns: usize,
-        depth: usize,
-        ops: u64,
-        seed: u64,
-    ) -> (Measured, ServerStats) {
-        let rounds = (ops / (conns as u64 * depth as u64)).max(1) as usize;
-        let store = Store::new(StoreConfig::new(8, 4, 1, KEYS));
-        {
-            let mut h = store.attach();
-            preload(&mut h, KEYS);
-        }
-        let server = Server::start(&store, ServerConfig::with_workers(1).dispatch(dispatch))
-            .unwrap_or_else(|e| fail("cannot start server", e));
-        let addr = server.local_addr();
-        let pure_read = mix.read_pct == 100;
-        let barrier = std::sync::Barrier::new(conns + 1);
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..conns)
-                .map(|t| {
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        let mut c = Client::connect(addr).unwrap_or_else(|e| fail("connect", e));
-                        let mut gen = KeyGen::new(dist, KEYS);
-                        let mut rng = SplitMix64::new(seed ^ ((t as u64 + 1) << 40));
-                        let mut acked = vec![0u64; KEYS as usize];
-                        let (mut reads, mut writes) =
-                            (Vec::with_capacity(depth), Vec::with_capacity(depth));
-                        let mut lat = Vec::with_capacity(rounds);
-                        let mut ok = true;
-                        barrier.wait();
-                        let t_start = Instant::now();
-                        for _ in 0..rounds {
-                            mix.fill_round(&mut gen, &mut rng, depth, &mut reads, &mut writes);
-                            let t0 = Instant::now();
-                            for &k in &writes {
-                                c.send(&Request::Update { key: k, op: UpdateOp::Add(vec![1]) });
-                            }
-                            for &k in &reads {
-                                c.send(&Request::Get { key: k });
-                            }
-                            if let Err(e) = c.flush() {
-                                fail("flush", e);
-                            }
-                            for &k in &writes {
-                                match c.recv() {
-                                    Ok(Response::Value(_)) => acked[k as usize] += 1,
-                                    other => fail("update reply", format!("{other:?}")),
-                                }
-                            }
-                            for &k in &reads {
-                                match c.recv() {
-                                    Ok(Response::Value(v)) => {
-                                        let floor = k + 1;
-                                        if v[0] < floor || (pure_read && v[0] != floor) {
-                                            ok = false;
-                                        }
-                                    }
-                                    other => fail("get reply", format!("{other:?}")),
-                                }
-                            }
-                            lat.push(t0.elapsed().as_nanos() as f64 / depth as f64);
-                        }
-                        (t_start, Instant::now(), acked, lat, ok)
-                    })
-                })
-                .collect();
-            barrier.wait();
-            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-        });
-
-        let (wall, acked, mut lat, mut ok) = merge(results);
-        let mut probe = Client::connect(addr).unwrap_or_else(|e| fail("probe connect", e));
-        ok &= check_sums(
-            "server",
-            &mut |ks, out| match probe.mget(ks.to_vec()) {
-                Ok(Ok(vs)) => {
-                    for (o, v) in out.iter_mut().zip(&vs) {
-                        *o = v[0];
-                    }
-                }
-                other => fail("probe mget", format!("{other:?}")),
-            },
-            &acked,
-            KEYS,
-        );
-        drop(probe);
-        let stats = server.shutdown();
-        let (p50, p99) = percentiles(&mut lat);
-        (Measured { rps: (conns * depth * rounds) as f64 / wall, p50, p99, ok }, stats)
-    }
-
-    /// Mesh-mode cell: callers forward their batches over SPSC rings to
-    /// the shard-owning workers; same mix/dist split as store mode.
-    fn run_mesh_cell(
-        mix: MixSpec,
-        dist: KeyDist,
-        callers: usize,
-        depth: usize,
-        ops: u64,
-        seed: u64,
-    ) -> (Measured, MeshStats) {
-        let rounds = (ops / (callers as u64 * depth as u64)).max(1) as usize;
-        let store = Store::new(StoreConfig::new(8, 32, 1, KEYS));
-        {
-            let mut h = store.attach();
-            preload(&mut h, KEYS);
-        }
-        let mesh = Mesh::try_new(Arc::clone(&store), MeshConfig::default().with_workers(2))
-            .unwrap_or_else(|e| fail("cannot start mesh", e));
-        let pure_read = mix.read_pct == 100;
-        let barrier = std::sync::Barrier::new(callers + 1);
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..callers)
-                .map(|t| {
-                    let (mesh, barrier) = (Arc::clone(&mesh), &barrier);
-                    s.spawn(move || {
-                        let mut h = mesh.attach();
-                        let one = InlineVal::from_slice(&[1]).unwrap();
-                        let mut gen = KeyGen::new(dist, KEYS);
-                        let mut rng = SplitMix64::new(seed ^ ((t as u64 + 1) << 40));
-                        let mut acked = vec![0u64; KEYS as usize];
-                        let (mut reads, mut writes) =
-                            (Vec::with_capacity(depth), Vec::with_capacity(depth));
-                        let mut rbuf = vec![0u64; depth];
-                        let mut lat = Vec::with_capacity(rounds);
-                        let mut ok = true;
-                        barrier.wait();
-                        let t_start = Instant::now();
-                        for _ in 0..rounds {
-                            mix.fill_round(&mut gen, &mut rng, depth, &mut reads, &mut writes);
-                            let t0 = Instant::now();
-                            if !writes.is_empty() {
-                                if let Err(e) =
-                                    h.update_batch(&writes, &mut |_| (UpdateKind::Add, one), None)
-                                {
-                                    fail("mesh update", e);
-                                }
-                            }
-                            if !reads.is_empty() {
-                                if let Err(e) = h.read_many_into(&reads, &mut rbuf[..reads.len()]) {
-                                    fail("mesh read", e);
-                                }
-                            }
-                            lat.push(t0.elapsed().as_nanos() as f64 / depth as f64);
-                            for &k in &writes {
-                                acked[k as usize] += 1;
-                            }
-                            for (i, &k) in reads.iter().enumerate() {
-                                let floor = k + 1;
-                                if rbuf[i] < floor || (pure_read && rbuf[i] != floor) {
-                                    ok = false;
-                                }
-                            }
-                        }
-                        (t_start, Instant::now(), acked, lat, ok)
-                    })
-                })
-                .collect();
-            barrier.wait();
-            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-        });
-
-        let (wall, acked, mut lat, mut ok) = merge(results);
-        let mut probe = mesh.attach();
-        ok &= check_sums(
-            "mesh",
-            &mut |ks, out| {
-                if let Err(e) = probe.read_many_into(ks, out) {
-                    fail("mesh probe", e);
-                }
-            },
-            &acked,
-            KEYS,
-        );
-        let stats = mesh.stats();
-        drop(probe);
-        mesh.shutdown();
-        if store.live_slot_leases() != 0 {
-            fail("mesh shutdown", "leaked a shard-slot lease");
-        }
-        let (p50, p99) = percentiles(&mut lat);
-        (Measured { rps: (callers * depth * rounds) as f64 / wall, p50, p99, ok }, stats)
-    }
-
-    fn cell_of(id: String, m: &Measured) -> Cell {
-        Cell::new(id, m.ok, m.rps).latency(m.p50, m.p99)
-    }
-
-    let rev = bench_rev();
-    let mut bench = BenchFile::new(
-        "e16-ycsb",
-        &rev,
-        quick,
-        repeats,
-        "grid: backends jp-waitfree/seqlock/lock x mixes A(50/50 read-update)/B(95/5)/\
-         C(read-only) on zipfian(0.99), plus uniform / 80-20 hot-set / handle-churn \
-         variants, an update-only batch sweep (U, batch=4|32|256), the server loopback \
-         path (coalesced + per-request) and the 2-worker mesh; KEYS=8192, W=1; rps is \
-         best-of-repeats (min-of-k); p50/p99 are per-op amortized from pipelined rounds; \
-         hist on server cells is write-batch sizes (1, 2-3, ..., 128+), on mesh cells \
-         log2 ring occupancy; every key preloaded to k+1 and per-key acked sums checked \
-         exactly after each cell",
-    );
-    let mut t = Table::new(["cell", "rps", "p50/op", "p99/op", "gate"]);
-    let mut all_ok = true;
-    let mut push_cell = |cell: Cell, m: &Measured| {
-        t.row([
-            cell.id.clone(),
-            fmt_ops(m.rps),
-            fmt_ns(m.p50),
-            fmt_ns(m.p99),
-            if m.ok { "ok".to_string() } else { "FAIL".to_string() },
-        ]);
-        all_ok &= m.ok;
-        bench.push(cell);
-    };
-
-    // Backend x mix over the YCSB-default zipfian skew.
-    for algo in [Algo::Jp, Algo::SeqLock, Algo::Lock] {
-        for mix in [MIX_A, MIX_B, MIX_C] {
-            let id = format!("e16/store/{}/{}/zipf", algo.name(), mix.name);
-            let m = best_of(repeats, || {
-                let store = try_build_store(algo, StoreConfig::new(8, 8, 1, KEYS))
-                    .unwrap_or_else(|e| fail("build store", e));
-                run_store_cell(&*store, mix, ZIPF, CALLERS, DEPTH, ops, false, seed)
-            });
-            push_cell(cell_of(id, &m), &m);
-        }
-    }
-
-    // Distribution and churn variants on the paper backend, workload A.
-    let variants: &[(&str, KeyDist, bool)] = &[
-        ("uniform", KeyDist::Uniform, false),
-        ("hot", KeyDist::HotSet { hot: 64, hot_pct: 80 }, false),
-        ("zipf+churn", ZIPF, true),
-    ];
-    for &(tag, dist, churn) in variants {
-        let id = format!("e16/store/jp-waitfree/A/{tag}");
-        let m = best_of(repeats, || {
-            let store = try_build_store(Algo::Jp, StoreConfig::new(8, 8, 1, KEYS))
-                .unwrap_or_else(|e| fail("build store", e));
-            run_store_cell(&*store, MIX_A, dist, CALLERS, DEPTH, ops, churn, seed)
-        });
-        push_cell(cell_of(id, &m), &m);
-    }
-
-    // Update-only batch-size sweep: the store's update_many economics.
-    for batch in [4usize, 32, 256] {
-        let id = format!("e16/store/jp-waitfree/U/zipf/batch={batch}");
-        let m = best_of(repeats, || {
-            let store = try_build_store(Algo::Jp, StoreConfig::new(8, 8, 1, KEYS))
-                .unwrap_or_else(|e| fail("build store", e));
-            run_store_cell(&*store, MIX_U, ZIPF, CALLERS, batch, ops, false, seed)
-        });
-        push_cell(cell_of(id, &m).counter("batch", batch as f64), &m);
-    }
-
-    // The server loopback path, both dispatch modes.
-    let server_cells: &[(MixSpec, Dispatch, &str)] = &[
-        (MIX_A, Dispatch::Coalesced, "coalesced"),
-        (MIX_A, Dispatch::PerRequest, "per-request"),
-        (MIX_B, Dispatch::Coalesced, "coalesced"),
-    ];
-    for &(mix, dispatch, tag) in server_cells {
-        let id = format!("e16/server/{}/zipf/{tag}", mix.name);
-        let mut last_stats: Option<ServerStats> = None;
-        let m = best_of(repeats, || {
-            let (m, stats) = run_server_cell(mix, ZIPF, dispatch, CONNS, SERVER_DEPTH, ops, seed);
-            last_stats = Some(stats);
-            m
-        });
-        let mut cell = cell_of(id, &m);
-        if let (Some(stats), Dispatch::Coalesced) = (last_stats, dispatch) {
-            cell = cell
-                .counter("mean_write_batch", stats.mean_write_batch())
-                .counter("waves", stats.waves as f64)
-                .with_hist(stats.batch_hist.to_vec());
-        }
-        push_cell(cell, &m);
-    }
-
-    // The mesh path: shard ownership over rings, 2 workers.
-    for mix in [MIX_A, MIX_B] {
-        let id = format!("e16/mesh/{}/zipf", mix.name);
-        let mut last_stats: Option<MeshStats> = None;
-        let m = best_of(repeats, || {
-            let (m, stats) = run_mesh_cell(mix, ZIPF, CALLERS, DEPTH, ops, seed);
-            last_stats = Some(stats);
-            m
-        });
-        let mut cell = cell_of(id, &m);
-        if let Some(s) = last_stats {
-            cell = cell
-                .counter("entries", s.entries as f64)
-                .counter("msgs", s.msgs as f64)
-                .counter("waves", s.waves as f64)
-                .with_hist(s.occ_hist.to_vec());
-        }
-        push_cell(cell, &m);
-    }
-
-    println!(
-        "### {} cells, ~{ops} ops/cell, best of {repeats} repeats (min-of-k), \
-         {CALLERS} callers / {CONNS} conns, KEYS = {KEYS}\n",
-        bench.cells.len()
-    );
-    t.print();
-    println!();
-    println!("Shape check: C > B > A per backend (reads are wait-free snapshots, updates");
-    println!("pay LL/SC commits); jp-waitfree tracks seqlock within a small factor and");
-    println!("both beat the global lock under the update mixes; batch=256 amortizes");
-    println!("per-batch overheads over batch=4; the churn column prices a fresh");
-    println!("shard-slot lease per round. Single core — mesh and server cells pay their");
-    println!("ring/socket round-trips with no parallelism to amortize them.\n");
-
-    let path = format!("BENCH_{rev}.json");
-    match std::fs::write(&path, bench.to_json()) {
-        Ok(()) => println!(
-            "Wrote {path} ({} cells, schema v{}).\n",
-            bench.cells.len(),
-            mwllsc_harness::bench_schema::SCHEMA_VERSION
-        ),
-        Err(e) => println!("NOTE: could not write {path}: {e}\n"),
-    }
-    if !all_ok {
-        eprintln!("mwllsc-harness: E16 exactness gate failed (see FAIL rows above)");
-        std::process::exit(2);
-    }
-}
-
 /// Runs every experiment in order.
 pub fn all(quick: bool) {
     e1_space(quick);
@@ -2210,10 +1137,7 @@ pub fn all(quick: bool) {
     e8_compare(quick);
     e10_store(quick);
     e11_backends(quick);
-    e13_server(quick);
     e14_lint(quick);
-    e15_mesh(quick);
-    e16_ycsb(quick);
     #[cfg(mwllsc_model)]
     e12_model(quick);
 }

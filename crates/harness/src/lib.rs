@@ -1,16 +1,12 @@
-//! Library surface of `mwllsc-harness`: the pieces of the experiment
-//! driver that are data, not measurement — seeded YCSB-style workload
-//! generation, the versioned `BENCH_<rev>.json` schema, and the
-//! `bench-diff` comparison engine.
+//! Library surface of `mwllsc-harness`: seeded YCSB-style workload
+//! generation, the one piece of the experiment harness that is data, not
+//! measurement.
 //!
-//! The binary (`src/main.rs`) layers the experiment grid and CLI on
-//! top; keeping these modules in a library lets the fixture suites in
-//! `tests/` drive the schema and the diff gate without spawning the
-//! CLI, and keeps determinism properties (canonical JSON, seeded key
-//! streams) unit-testable.
+//! The binary (`src/main.rs`) layers the experiments and CLI on top.
+//! Keeping the generator in a library lets the repository benchmark
+//! (`perfbench/`) and the fixture suites in `tests/` draw the same
+//! seeded key streams, and keeps their determinism unit-testable.
 
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod bench_diff;
-pub mod bench_schema;
 pub mod workload;

@@ -2,9 +2,6 @@
 //!
 //! ```text
 //! mwllsc-harness <experiment> [--quick]
-//! mwllsc-harness bench-diff <baseline.json> <new.json>
-//!                [--noise F] [--cross-host-noise F] [--require-all]
-//! mwllsc-harness bench-migrate <legacy.json> <out.json>
 //!
 //! experiments:
 //!   e1-space             exact space usage vs N, W (ours vs baselines)
@@ -19,28 +16,14 @@
 //!   e11-backends         multi-backend store matrix + batched update_many
 //!   e12-model            model checking of the shipping code (needs
 //!                        `RUSTFLAGS='--cfg mwllsc_model'`)
-//!   e13-server           network frontend: loopback rps, coalesced vs
-//!                        per-request dispatch (+ BENCH_<rev>_server.json)
 //!   e14-lint             static policy sweep (mwllsc-lint) over the
 //!                        workspace: facade, orderings, SAFETY, no-alloc
-//!   e15-mesh             shared-nothing mesh vs symmetric handles on one
-//!                        workload (+ ring occupancy, BENCH_<rev>_mesh.json)
-//!   e16-ycsb             YCSB-style workload grid: backends x mixes x
-//!                        distributions over store/server/mesh, exactness
-//!                        gates, BENCH_<rev>.json (the perf trajectory)
 //!   all                  everything above, in order
-//!
-//! bench subcommands:
-//!   bench-diff           compare two BENCH_*.json files cell-by-cell;
-//!                        exit 0 within noise, 1 on regression or a
-//!                        failed exactness gate, 2 on bad input
-//!   bench-migrate        lift a legacy pre-schema bench file onto the
-//!                        current schema_version
 //! ```
 //!
-//! `--quick` shrinks iteration counts ~10x for smoke runs (used by CI and
-//! the integration tests). `MWLLSC_BENCH_REPEATS` dials the per-cell
-//! repeat count of the bench emitters (the CI `workflow_dispatch` knob).
+//! `--quick` shrinks iteration counts ~10x for smoke runs (used by the CI
+//! smoke jobs). Throughput and latency of the store, mesh and
+//! server are measured by the repository benchmark, `perfbench/`.
 
 mod experiments;
 mod table;
@@ -50,106 +33,15 @@ fn usage() -> ! {
     eprintln!(
         "usage: mwllsc-harness <e1-space|e2-time-w|e3-time-n|e4-vl|e5-waitfree|\
          e6-linearizability|e7-helping|e8-compare|e10-store|e11-backends|\
-         e12-model|e13-server|e14-lint|e15-mesh|e16-ycsb|all> [--quick]\n\
-         \x20      mwllsc-harness bench-diff <baseline.json> <new.json> \
-         [--noise F] [--cross-host-noise F] [--require-all]\n\
-         \x20      mwllsc-harness bench-migrate <legacy.json> <out.json>"
+         e12-model|e14-lint|all> [--quick]"
     );
     std::process::exit(2);
-}
-
-/// `bench-diff OLD NEW`: compares two bench files and gates on the
-/// result. Exit codes: 0 = within noise, 1 = regression / failed
-/// exactness gate, 2 = unusable input (I/O, parse, schema, no overlap).
-fn bench_diff_cli(args: &[String]) -> ! {
-    use mwllsc_harness::bench_diff::{diff, DiffConfig};
-    use mwllsc_harness::bench_schema::BenchFile;
-
-    let mut cfg = DiffConfig::default();
-    let mut files: Vec<&str> = Vec::new();
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--require-all" => cfg.require_all = true,
-            "--noise" | "--cross-host-noise" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("bench-diff: {a} needs a fractional value (e.g. 0.35)");
-                    std::process::exit(2);
-                };
-                if a == "--noise" {
-                    cfg.noise = v;
-                } else {
-                    cfg.cross_host_noise = v;
-                }
-            }
-            flag if flag.starts_with("--") => usage(),
-            path => files.push(path),
-        }
-    }
-    let [old_path, new_path] = files[..] else { usage() };
-
-    let load = |path: &str| -> BenchFile {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench-diff: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        BenchFile::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("bench-diff: {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let (old, new) = (load(old_path), load(new_path));
-    match diff(&old, &new, &cfg) {
-        Ok(report) => {
-            print!("{}", report.to_human(old_path, new_path));
-            std::process::exit(i32::from(report.failed(&cfg)));
-        }
-        Err(e) => {
-            eprintln!("bench-diff: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// `bench-migrate IN OUT`: lifts a legacy pre-schema bench file onto
-/// the current schema version (canonical JSON out).
-fn bench_migrate_cli(args: &[String]) -> ! {
-    use mwllsc_harness::bench_schema::{migrate_legacy, SCHEMA_VERSION};
-
-    let files: Vec<&String> = args.iter().skip(1).filter(|a| !a.starts_with("--")).collect();
-    let [input, output] = files[..] else { usage() };
-    let text = std::fs::read_to_string(input).unwrap_or_else(|e| {
-        eprintln!("bench-migrate: cannot read {input}: {e}");
-        std::process::exit(2);
-    });
-    let migrated = migrate_legacy(&text).unwrap_or_else(|e| {
-        eprintln!("bench-migrate: {input}: {e}");
-        std::process::exit(2);
-    });
-    std::fs::write(output, migrated.to_json()).unwrap_or_else(|e| {
-        eprintln!("bench-migrate: cannot write {output}: {e}");
-        std::process::exit(2);
-    });
-    println!(
-        "migrated {input} ({} cells, experiment {}) -> {output} (schema v{SCHEMA_VERSION})",
-        migrated.cells.len(),
-        migrated.experiment
-    );
-    std::process::exit(0);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let cmd = args.iter().find(|a| !a.starts_with("--")).cloned().unwrap_or_else(|| usage());
-
-    // The bench tooling subcommands print their own output (no banner —
-    // CI logs diff them).
-    match cmd.as_str() {
-        "bench-diff" => bench_diff_cli(&args),
-        "bench-migrate" => bench_migrate_cli(&args),
-        _ => {}
-    }
 
     println!("# mwllsc experiment harness — {cmd}{}\n", if quick { " (quick)" } else { "" });
     println!(
@@ -171,10 +63,7 @@ fn main() {
         "e10-store" => experiments::e10_store(quick),
         "e11-backends" => experiments::e11_backends(quick),
         "e12-model" => experiments::e12_model(quick),
-        "e13-server" => experiments::e13_server(quick),
         "e14-lint" => experiments::e14_lint(quick),
-        "e15-mesh" => experiments::e15_mesh(quick),
-        "e16-ycsb" => experiments::e16_ycsb(quick),
         "all" => experiments::all(quick),
         _ => usage(),
     }

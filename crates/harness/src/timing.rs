@@ -1,6 +1,6 @@
 //! Wall-clock measurement helpers for the latency experiments.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Calls `f` repeatedly for roughly `min_iters` iterations (at least), and
 /// returns the average nanoseconds per call.
@@ -15,6 +15,22 @@ pub fn bench_ns(min_iters: u64, mut f: impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_nanos() as f64 / min_iters as f64
+}
+
+/// The wall of a multi-worker run, from each worker's own `(start, end)`
+/// stamps: `max(end) − min(start)`.
+///
+/// Each worker stamps `start` after the start barrier releases it and
+/// `end` when its own work is done. Timing from the thread that spawned
+/// the workers instead counts spawn, attach and join, and on a shared
+/// core that thread can be descheduled past whole worker lifetimes,
+/// inflating throughput by orders of magnitude.
+pub fn worker_wall(spans: impl IntoIterator<Item = (Instant, Instant)>) -> Duration {
+    let (start, end) = spans
+        .into_iter()
+        .reduce(|(s0, e0), (s1, e1)| (s0.min(s1), e0.max(e1)))
+        .expect("at least one worker");
+    end.duration_since(start)
 }
 
 /// Least-squares slope and intercept of `y` over `x` (simple linear fit;
@@ -54,6 +70,15 @@ mod tests {
         assert!((slope - 3.0).abs() < 1e-9);
         assert!((intercept - 2.0).abs() < 1e-9);
         assert!((correlation(&pts) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn worker_wall_spans_earliest_start_to_latest_end() {
+        let t = Instant::now();
+        let ms = Duration::from_millis;
+        let spans = [(t + ms(5), t + ms(20)), (t + ms(2), t + ms(10)), (t + ms(8), t + ms(30))];
+        assert_eq!(worker_wall(spans), ms(28));
+        assert_eq!(worker_wall([(t, t + ms(7))]), ms(7));
     }
 
     #[test]

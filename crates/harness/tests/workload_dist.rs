@@ -1,5 +1,5 @@
 //! Distribution sanity for the YCSB key generators, driven through the
-//! public library surface (what the E16 grid actually calls): zipfian
+//! public library surface (what perfbench actually calls): zipfian
 //! head mass matches theory, streams are seed-deterministic, and the
 //! mix splitter conserves operations.
 
@@ -32,7 +32,7 @@ fn zipfian_head_and_tail_shares_match_theory() {
 fn workloads_are_reproducible_across_generators() {
     // Two independently constructed generator+rng pairs with the same
     // seed produce identical (read, write) splits — the property that
-    // makes E16's exactness gates meaningful.
+    // makes perfbench's correctness gates meaningful.
     let mk = || (KeyGen::new(KeyDist::Zipfian { theta: 0.99 }, 1024), SplitMix64::new(42));
     let (mut g1, mut r1) = mk();
     let (mut g2, mut r2) = mk();

@@ -41,8 +41,8 @@ pub enum Dispatch {
     /// Merge every connection's contribution into one write batch and
     /// one read batch per wave (the design point).
     Coalesced,
-    /// One store call per request (the ablation baseline E13 compares
-    /// against).
+    /// One store call per request (the ablation baseline
+    /// `examples/server_loadgen.rs` compares against).
     PerRequest,
 }
 

@@ -124,7 +124,7 @@ pub struct ServerConfig {
     /// slot. For a thread-per-core deployment set it to
     /// `std::thread::available_parallelism()`.
     pub workers: usize,
-    /// Batch dispatch mode (the E13 experiment compares both).
+    /// Batch dispatch mode (`examples/server_loadgen.rs` compares both).
     pub dispatch: Dispatch,
     /// Per-connection queued-output cap: past it the connection's socket
     /// is not read until the peer drains replies (slow-reader

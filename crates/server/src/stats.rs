@@ -117,13 +117,6 @@ impl ServerStats {
             self.read_keys as f64 / self.read_batches as f64
         }
     }
-
-    /// Human-readable labels for [`batch_hist`](Self::batch_hist)'s
-    /// buckets.
-    #[must_use]
-    pub fn hist_labels() -> [&'static str; HIST_BUCKETS] {
-        ["1", "2-3", "4-7", "8-15", "16-31", "32-63", "64-127", "128+"]
-    }
 }
 
 #[cfg(test)]

@@ -69,51 +69,60 @@ fn coalesced_and_per_request_dispatch_agree() {
     }
 }
 
-/// Many concurrent pipelining clients hammering a tiny hot key set: the
-/// final sums are exact (nothing lost to coalescing/folding) and the
-/// batch histogram proves coalescing actually merged cross-connection
-/// requests.
+/// Many concurrent pipelining clients hammering a tiny hot key set, in
+/// both dispatch modes: the final sums are exact (nothing lost to
+/// coalescing/folding or to per-request dispatch), and under coalesced
+/// dispatch the batch histogram proves coalescing actually merged
+/// cross-connection requests.
 #[test]
 fn concurrent_clients_sum_exactly_and_coalesce() {
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 30;
     const DEPTH: usize = 16;
-    let store = small_store();
-    let server = Server::start(&store, ServerConfig::default()).unwrap();
-    let addr = server.local_addr();
+    for dispatch in [Dispatch::Coalesced, Dispatch::PerRequest] {
+        let store = small_store();
+        let server = Server::start(&store, ServerConfig::default().dispatch(dispatch)).unwrap();
+        let addr = server.local_addr();
 
-    std::thread::scope(|s| {
-        for t in 0..CLIENTS {
-            s.spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                for r in 0..ROUNDS {
-                    for i in 0..DEPTH {
-                        let key = ((t + r + i) % 3) as u64; // 3 hot keys
-                        c.send(&Request::Update { key, op: UpdateOp::Add(vec![1, 1]) });
+        std::thread::scope(|s| {
+            for t in 0..CLIENTS {
+                s.spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    for r in 0..ROUNDS {
+                        for i in 0..DEPTH {
+                            let key = ((t + r + i) % 3) as u64; // 3 hot keys
+                            c.send(&Request::Update { key, op: UpdateOp::Add(vec![1, 1]) });
+                        }
+                        c.flush().unwrap();
+                        for _ in 0..DEPTH {
+                            assert!(matches!(c.recv().unwrap(), Response::Value(_)));
+                        }
                     }
-                    c.flush().unwrap();
-                    for _ in 0..DEPTH {
-                        assert!(matches!(c.recv().unwrap(), Response::Value(_)));
-                    }
-                }
-            });
+                });
+            }
+        });
+
+        let mut probe = Client::connect(addr).unwrap();
+        let values = probe.mget(vec![0, 1, 2]).unwrap().unwrap();
+        let total: u64 = values.iter().map(|v| v[0]).sum();
+        assert_eq!(
+            total,
+            (CLIENTS * ROUNDS * DEPTH) as u64,
+            "{dispatch:?}: every increment landed exactly once"
+        );
+        for v in &values {
+            assert_eq!(v[0], v[1], "{dispatch:?}: per-key words move in lockstep");
         }
-    });
-
-    let mut probe = Client::connect(addr).unwrap();
-    let values = probe.mget(vec![0, 1, 2]).unwrap().unwrap();
-    let total: u64 = values.iter().map(|v| v[0]).sum();
-    assert_eq!(total, (CLIENTS * ROUNDS * DEPTH) as u64, "every increment landed exactly once");
-    for v in &values {
-        assert_eq!(v[0], v[1], "per-key words move in lockstep");
+        let stats = server.shutdown();
+        if dispatch == Dispatch::Coalesced {
+            let multi = stats.batch_hist[1..].iter().sum::<u64>();
+            assert!(multi > 0, "pipelined load must produce multi-entry batches: {stats:?}");
+            assert!(
+                stats.mean_write_batch() > 1.0,
+                "coalescing should exceed one entry per dispatch: {stats:?}"
+            );
+        }
     }
-    let stats = server.shutdown();
-    let multi = stats.batch_hist[1..].iter().sum::<u64>();
-    assert!(multi > 0, "pipelined load must produce multi-entry batches: {stats:?}");
-    assert!(
-        stats.mean_write_batch() > 1.0,
-        "coalescing should exceed one entry per dispatch: {stats:?}"
-    );
 }
 
 /// Store-shape violations come back as typed errors in pipeline order,

@@ -5,6 +5,7 @@
 //! store-layer companion of `tests/trait_conformance.rs`.
 
 use std::collections::HashMap;
+use std::sync::Barrier;
 
 use mwllsc_suite::llsc_baselines::{try_build_store, Algo};
 use mwllsc_suite::mwllsc::layout::Layout;
@@ -218,18 +219,80 @@ fn conforms_to_the_sequential_model(store: &dyn DynStore) {
     assert_eq!(store.live_slot_leases(), 0, "{backend}: handle drop released leases");
 }
 
+/// Two threads add `1` to every word of a few hot keys through
+/// `update_with_dyn` and `update_many_dyn`, interleaved with reads. A
+/// read must be untorn (the same increase on every word) and must never
+/// show a key below its start value plus the reader's own acked
+/// increments. Afterwards every key holds its start value plus all acked
+/// increments, exactly: nothing lost, nothing applied twice.
+fn concurrent_increments_sum_exactly(store: &dyn DynStore) {
+    const HOT: [u64; 3] = [7, 8, 9];
+    const ROUNDS: usize = 1000;
+    let backend = store.backend();
+    let w = store.width();
+    let start: Vec<Vec<u64>> = {
+        let mut h = store.attach_dyn();
+        HOT.iter().map(|&k| h.read_vec(k).unwrap()).collect()
+    };
+    let barrier = Barrier::new(2);
+    let acked: Vec<[u64; HOT.len()]> = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..2)
+            .map(|t| {
+                let (barrier, start) = (&barrier, &start);
+                s.spawn(move || {
+                    let mut h = store.attach_dyn();
+                    let mut acked = [0u64; HOT.len()];
+                    let mut buf = vec![0u64; w];
+                    let add_one = |v: &mut [u64]| v.iter_mut().for_each(|x| *x += 1);
+                    barrier.wait();
+                    for r in 0..ROUNDS {
+                        let (i, j) = ((r + t) % HOT.len(), (r + t + 1) % HOT.len());
+                        h.update_with_dyn(HOT[i], &mut buf, &mut |v| add_one(v)).unwrap();
+                        acked[i] += 1;
+                        // A batch with a repeated key: each entry commits.
+                        h.update_many_dyn(&[HOT[j], HOT[i], HOT[j]], &mut |_, v| add_one(v))
+                            .unwrap();
+                        acked[i] += 1;
+                        acked[j] += 2;
+                        h.read(HOT[j], &mut buf).unwrap();
+                        let floor = start[j][0] + acked[j];
+                        assert!(buf[0] >= floor, "{backend}: read {} < own floor {floor}", buf[0]);
+                        let grew = buf[0] - start[j][0];
+                        let want: Vec<u64> = start[j].iter().map(|x| x + grew).collect();
+                        assert_eq!(buf, want, "{backend}: torn read of key {}", HOT[j]);
+                    }
+                    acked
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    });
+
+    let mut h = store.attach_dyn();
+    for (i, &k) in HOT.iter().enumerate() {
+        let total: u64 = acked.iter().map(|a| a[i]).sum();
+        let want: Vec<u64> = start[i].iter().map(|x| x + total).collect();
+        assert_eq!(h.read_vec(k).unwrap(), want, "{backend}: key {k} after {total} acked +1s");
+    }
+    drop(h);
+    assert_eq!(store.live_slot_leases(), 0, "{backend}: handle drops released leases");
+}
+
 /// The backend conformance matrix: the sequential-model tape over every
 /// backend `try_build_store` accepts, plus the typed epoch-substrate
-/// store — same router, same semantics, per-backend space accounting.
+/// store — same router, same semantics, per-backend space accounting —
+/// then a 2-thread phase checking concurrent increments sum exactly.
 #[test]
 fn every_backend_conforms_to_the_sequential_model() {
     let config = StoreConfig::new(8, 2, 3, 1024).with_initial(&[5, 5, 5]);
     for algo in Algo::ALL {
         let store = try_build_store(algo, config.clone()).unwrap_or_else(|e| panic!("{algo}: {e}"));
         conforms_to_the_sequential_model(store.as_ref());
+        concurrent_increments_sum_exactly(store.as_ref());
     }
     let epoch: Box<dyn DynStore> = Box::new(Store::<EpochBackend>::new_in(config));
     conforms_to_the_sequential_model(epoch.as_ref());
+    concurrent_increments_sum_exactly(epoch.as_ref());
 }
 
 /// Per-backend capacity ceilings flow through the store's validation:
