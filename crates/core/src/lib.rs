@@ -119,7 +119,11 @@ pub use traits::{
 };
 pub use variable::{ClaimError, ConfigError, LlStrategy, MwLlSc, SpaceReport};
 
+/// The epoch-based reclamation behind [`EpochLlSc`], re-exported.
+pub use llsc_word::smr;
 /// The alternative epoch-based substrate (ablation), re-exported.
 pub use llsc_word::EpochLlSc;
+/// The single-word LL/SC interface both substrates implement, re-exported.
+pub use llsc_word::LlScCell;
 /// The default single-word substrate, re-exported for convenience.
 pub use llsc_word::TaggedLlSc;

@@ -1,13 +1,15 @@
-//! Experiments E1–E8: each function regenerates one table of
-//! `EXPERIMENTS.md` (see `DESIGN.md` §4 for the experiment index).
+//! The experiments: each function regenerates one table of
+//! `EXPERIMENTS.md` (which indexes them and records a full run) and ends
+//! in the bounded checks that table supports.
 
 use mwllsc::sync::{AtomicBool, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use llsc_baselines::{try_build, try_build_store, Algo, MwHandle, SpaceEstimate};
 use mwllsc::layout::Layout;
-use mwllsc::MwLlSc;
+use mwllsc::{smr, EpochLlSc, Handle, LlScCell, LlStrategy, MwLlSc, TaggedLlSc};
 use mwllsc_store::{DynStore, EpochBackend, Store, StoreConfig, StoreError};
 use simsched::explore::{explore, ExploreConfig};
 use simsched::interp::{ll_step_bound, sc_step_bound, SimOp};
@@ -15,8 +17,77 @@ use simsched::runner::{run, RunConfig, Sim};
 use simsched::sched::{RandomSched, StarveVictim, WeightedRandom};
 use simsched::wg::{check_linearizable, CheckConfig};
 
-use crate::table::{fmt_ns, fmt_ops, Table};
-use crate::timing::{bench_ns, correlation, linear_fit, worker_wall};
+use crate::table::{fmt_iqr, fmt_ns, fmt_ops, Table};
+use crate::timing::{bench_ns, correlation, linear_fit, quartiles, worker_wall, BlockNs, BLOCKS};
+
+thread_local! {
+    /// Bounded checks failed so far; every check runs on the main thread.
+    static FAILED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Prints one bounded check. `what` states the measured value against its
+/// bound. A failure prints `CHECK FAILED: <experiment>: <what>` and is
+/// counted, and the process exits 1 once the remaining experiments have
+/// run.
+fn check(experiment: &str, ok: bool, what: impl std::fmt::Display) {
+    if ok {
+        println!("check ok: {what}");
+    } else {
+        FAILED.with(|f| f.set(f.get() + 1));
+        println!("CHECK FAILED: {experiment}: {what}");
+    }
+}
+
+/// A bounded check that nothing failed: `failures` lists what did, and
+/// `what` names what a failure is.
+fn check_none(experiment: &str, what: &str, failures: &[impl std::fmt::Debug]) {
+    check(experiment, failures.is_empty(), format!("{what}: {failures:?} (bound: none)"));
+}
+
+/// How many bounded checks have failed in this process.
+pub fn failed_checks() -> usize {
+    FAILED.with(Cell::get)
+}
+
+/// `max / min` of `xs`, 1.0 when perfectly flat. A non-positive minimum (a
+/// derived time lost in noise) reads as unbounded, so it fails a flatness
+/// bound instead of passing it.
+fn max_over_min(xs: &[f64]) -> f64 {
+    let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if min > 0.0 {
+        max / min
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// A timing cell: median ±IQR over [`bench_ns`]'s blocks.
+fn ns_cell(t: &BlockNs) -> String {
+    fmt_iqr(t.median(), t.iqr(), fmt_ns)
+}
+
+/// Times each handle's LL alone and its LL;SC pair in one interleaved
+/// [`bench_ns`] run, and returns `(LL, pair)` per handle. SC alone is the
+/// pair minus LL.
+fn ll_and_pair_ns(hs: &mut [impl MwHandle], iters: u64) -> Vec<(BlockNs, BlockNs)> {
+    let mut bufs: Vec<Vec<u64>> = hs.iter().map(|h| vec![0; h.width()]).collect();
+    let vals: Vec<Vec<u64>> = hs.iter().map(|h| vec![1; h.width()]).collect();
+    // Variant 2i is handle i's LL alone, 2i + 1 its LL;SC pair.
+    let ns = bench_ns(iters, 2 * hs.len(), |v| {
+        let i = v / 2;
+        hs[i].ll(&mut bufs[i]);
+        if v % 2 == 1 {
+            let _ = hs[i].sc(&vals[i]);
+        }
+    });
+    ns.chunks(2).map(|p| (p[0], p[1])).collect()
+}
+
+/// Handle 0 of a fresh `n`-process, `w`-word object, one per `(n, w)`.
+fn solo_handles(nw: impl Iterator<Item = (usize, usize)>) -> Vec<Handle> {
+    nw.map(|(n, w)| MwLlSc::new(n, w, &vec![0u64; w]).claim(0).expect("fresh object")).collect()
+}
 
 /// Builds via [`try_build`] and exits the CLI with a clean message (rather
 /// than a panic backtrace) if an experiment sweeps into an invalid
@@ -38,7 +109,10 @@ pub fn e1_space(_quick: bool) {
     println!("## E1 — space (64-bit words) vs N and W\n");
     println!("Claim (paper abstract / §1): this algorithm needs O(NW) space;");
     println!("the previous best wait-free algorithm (Anderson–Moir) needs O(N^2 W).\n");
-    for w in [1usize, 4, 16, 64] {
+    let (mut cells, mut on_formula) = (0, 0);
+    let mut rising_ratio_ws = Vec::new();
+    let ws = [1usize, 4, 16, 64];
+    for w in ws {
         let mut t = Table::new([
             "N",
             "jp-waitfree (O(NW))",
@@ -48,11 +122,15 @@ pub fn e1_space(_quick: bool) {
             "ptr-swap live",
         ]);
         let init = vec![0u64; w];
+        let mut ratios = Vec::new();
         for n in [2usize, 4, 8, 16, 32, 64, 128] {
             let jp = build(Algo::Jp, n, w, &init).1.shared_words;
             let am = build(Algo::AmStyle, n, w, &init).1.shared_words;
             let lock = build(Algo::Lock, n, w, &init).1.shared_words;
             let ptr = build(Algo::PtrSwap, n, w, &init).1.shared_words;
+            cells += 1;
+            on_formula += usize::from(jp == 3 * n * w + 3 * n + 1);
+            ratios.push(am as f64 / jp as f64);
             t.row([
                 n.to_string(),
                 jp.to_string(),
@@ -62,12 +140,28 @@ pub fn e1_space(_quick: bool) {
                 ptr.to_string(),
             ]);
         }
+        if ratios.windows(2).all(|r| r[1] > r[0]) {
+            rising_ratio_ws.push(w);
+        }
         println!("### W = {w}\n");
         t.print();
         println!();
     }
     println!("Shape check: the jp column grows linearly in N; am-style quadratically;");
     println!("the ratio column grows linearly in N — the paper's factor-N separation.\n");
+    check(
+        "E1",
+        on_formula == cells,
+        format!("jp-waitfree words = 3NW + 3N + 1 in {on_formula} of {cells} cells (bound: all)"),
+    );
+    check(
+        "E1",
+        rising_ratio_ws.len() == ws.len(),
+        format!(
+            "am-style/jp strictly increases in N at W in {rising_ratio_ws:?} (bound: all of {ws:?})"
+        ),
+    );
+    println!();
 }
 
 /// E2 — LL/SC latency is linear in `W` (Theorem 1: `O(W)` time).
@@ -78,40 +172,35 @@ pub fn e2_time_w(quick: bool) {
     let mut t = Table::new(["W", "LL", "SC", "LL ns/word", "SC ns/word"]);
     let mut ll_pts = Vec::new();
     let mut sc_pts = Vec::new();
-    for w in [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024] {
-        let init = vec![0u64; w];
-        let obj = MwLlSc::new(n, w, &init);
-        let mut h = obj.claim(0).expect("fresh object");
-        let mut buf = vec![0u64; w];
-        let ll_ns = bench_ns(iters.max(w as u64), || h.ll(&mut buf));
-        let val = vec![1u64; w];
-        let sc_ns = bench_ns(iters.max(w as u64), || {
-            h.ll(&mut buf);
-            let _ = h.sc(&val);
-        }) - ll_ns; // isolate the SC from the mandatory preceding LL
-        let sc_ns = sc_ns.max(0.1);
-        ll_pts.push((w as f64, ll_ns));
-        sc_pts.push((w as f64, sc_ns));
+    let ws = [1usize, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
+    let mut hs = solo_handles(ws.iter().map(|&w| (n, w)));
+    for (w, (ll, pair)) in ws.into_iter().zip(ll_and_pair_ns(&mut hs, iters)) {
+        let sc = pair.minus(&ll);
+        ll_pts.push((w as f64, ll.median()));
+        sc_pts.push((w as f64, sc.median()));
         t.row([
             w.to_string(),
-            fmt_ns(ll_ns),
-            fmt_ns(sc_ns),
-            format!("{:.2}", ll_ns / w as f64),
-            format!("{:.2}", sc_ns / w as f64),
+            ns_cell(&ll),
+            ns_cell(&sc),
+            format!("{:.2}", ll.median() / w as f64),
+            format!("{:.2}", sc.median() / w as f64),
         ]);
     }
     t.print();
     let (ll_slope, ll_icpt) = linear_fit(&ll_pts);
     let (sc_slope, sc_icpt) = linear_fit(&sc_pts);
+    let (ll_r, sc_r) = (correlation(&ll_pts), correlation(&sc_pts));
     println!();
     println!(
-        "Linear fit: LL ≈ {ll_slope:.2}·W + {ll_icpt:.0} ns (r = {:.4}); SC ≈ {sc_slope:.2}·W + {sc_icpt:.0} ns (r = {:.4})",
-        correlation(&ll_pts),
-        correlation(&sc_pts)
+        "Cells: median ±IQR over {BLOCKS} blocks; SC is the LL;SC pair minus LL, block by block."
     );
     println!(
-        "Shape check: high correlation with a linear model ⇒ O(W) time, as Theorem 1 states.\n"
+        "Linear fit of the medians: LL ≈ {ll_slope:.2}·W + {ll_icpt:.0} ns; SC ≈ {sc_slope:.2}·W + {sc_icpt:.0} ns"
     );
+    println!("Shape check: a linear model fits both ⇒ O(W) time, as Theorem 1 states.\n");
+    check("E2", ll_r >= 0.98, format!("LL medians vs W: Pearson r = {ll_r:.4} (bound ≥ 0.98)"));
+    check("E2", sc_r >= 0.98, format!("SC medians vs W: Pearson r = {sc_r:.4} (bound ≥ 0.98)"));
+    println!();
 }
 
 /// E3 — LL/SC latency is independent of `N` (no `N` term in Theorem 1).
@@ -120,27 +209,25 @@ pub fn e3_time_n(quick: bool) {
     let iters: u64 = if quick { 20_000 } else { 200_000 };
     let w = 8;
     let mut t = Table::new(["N", "LL", "SC"]);
-    let mut lls = Vec::new();
-    for n in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
-        let init = vec![0u64; w];
-        let obj = MwLlSc::new(n, w, &init);
-        let mut h = obj.claim(0).expect("fresh object");
-        let mut buf = vec![0u64; w];
-        let ll_ns = bench_ns(iters, || h.ll(&mut buf));
-        let val = vec![1u64; w];
-        let pair_ns = bench_ns(iters, || {
-            h.ll(&mut buf);
-            let _ = h.sc(&val);
-        });
-        let sc_ns = (pair_ns - ll_ns).max(0.1);
-        lls.push(ll_ns);
-        t.row([n.to_string(), fmt_ns(ll_ns), fmt_ns(sc_ns)]);
+    let (mut lls, mut scs) = (Vec::new(), Vec::new());
+    let ns = [1usize, 2, 4, 8, 16, 32, 64, 128, 256];
+    let mut hs = solo_handles(ns.iter().map(|&n| (n, w)));
+    for (n, (ll, pair)) in ns.into_iter().zip(ll_and_pair_ns(&mut hs, iters)) {
+        let sc = pair.minus(&ll);
+        lls.push(ll.median());
+        scs.push(sc.median());
+        t.row([n.to_string(), ns_cell(&ll), ns_cell(&sc)]);
     }
     t.print();
-    let min = lls.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = lls.iter().cloned().fold(0.0f64, f64::max);
     println!();
-    println!("LL max/min across N: {:.2}x (flat ⇒ no N term in the time bound).\n", max / min);
+    println!(
+        "Cells: median ±IQR over {BLOCKS} blocks; SC is the LL;SC pair minus LL, block by block."
+    );
+    println!("Shape check: flat in N ⇒ no N term in the time bound.\n");
+    let (ll_ratio, sc_ratio) = (max_over_min(&lls), max_over_min(&scs));
+    check("E3", ll_ratio <= 2.0, format!("LL max/min over N = {ll_ratio:.2}x (bound ≤ 2.0x)"));
+    check("E3", sc_ratio <= 2.0, format!("SC max/min over N = {sc_ratio:.2}x (bound ≤ 2.0x)"));
+    println!();
 }
 
 /// E4 — VL is `O(1)`: flat across both `N` and `W`.
@@ -148,26 +235,27 @@ pub fn e4_vl(quick: bool) {
     println!("## E4 — VL latency across N and W (Theorem 1: O(1))\n");
     let iters: u64 = if quick { 50_000 } else { 500_000 };
     let mut t = Table::new(["N", "W", "VL"]);
+    let grid: Vec<(usize, usize)> =
+        [2usize, 16, 128].into_iter().flat_map(|n| [1usize, 64, 1024].map(|w| (n, w))).collect();
+    let mut hs = solo_handles(grid.iter().copied());
+    for (h, &(_, w)) in hs.iter_mut().zip(&grid) {
+        h.ll(&mut vec![0u64; w]);
+    }
+    let vls = bench_ns(iters, hs.len(), |i| {
+        let _ = hs[i].vl();
+    });
     let mut all = Vec::new();
-    for n in [2usize, 16, 128] {
-        for w in [1usize, 64, 1024] {
-            let init = vec![0u64; w];
-            let obj = MwLlSc::new(n, w, &init);
-            let mut h = obj.claim(0).expect("fresh object");
-            let mut buf = vec![0u64; w];
-            h.ll(&mut buf);
-            let vl_ns = bench_ns(iters, || {
-                let _ = h.vl();
-            });
-            all.push(vl_ns);
-            t.row([n.to_string(), w.to_string(), fmt_ns(vl_ns)]);
-        }
+    for (&(n, w), vl) in grid.iter().zip(&vls) {
+        all.push(vl.median());
+        t.row([n.to_string(), w.to_string(), ns_cell(vl)]);
     }
     t.print();
-    let min = all.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = all.iter().cloned().fold(0.0f64, f64::max);
     println!();
-    println!("VL max/min across the grid: {:.2}x (flat in both N and W ⇒ O(1)).\n", max / min);
+    println!("Cells: median ±IQR over {BLOCKS} blocks.");
+    println!("Shape check: flat in both N and W ⇒ O(1).\n");
+    let ratio = max_over_min(&all);
+    check("E4", ratio <= 2.0, format!("VL max/min over the grid = {ratio:.2}x (bound ≤ 2.0x)"));
+    println!();
 }
 
 fn inc_program(rounds: usize) -> Vec<SimOp> {
@@ -197,6 +285,7 @@ pub fn e5_waitfree(quick: bool) {
         "max VL",
         "verdict",
     ]);
+    let mut failed_rows = Vec::new();
     for (n, w) in [(2usize, 1usize), (2, 4), (3, 2), (4, 8), (4, 32)] {
         let mut max_ll = 0;
         let mut max_sc = 0;
@@ -229,6 +318,9 @@ pub fn e5_waitfree(quick: bool) {
             }
         }
         let ok = max_ll <= ll_step_bound(w) && max_sc <= sc_step_bound(w) && max_vl <= 1;
+        if !ok {
+            failed_rows.push(format!("N={n} W={w}"));
+        }
         t.row([
             n.to_string(),
             w.to_string(),
@@ -324,6 +416,8 @@ pub fn e5_waitfree(quick: bool) {
     println!("Shape check: the observed maxima grow with W and never with the schedule —");
     println!("every operation finishes within its O(W) budget even under starvation and");
     println!("arbitrary crash faults; removing the helping mechanism breaks exactly this.\n");
+    check_none("E5", "configs over a step bound", &failed_rows);
+    println!();
 }
 
 /// E6 — linearizability: exhaustive exploration (tiny configs) plus
@@ -335,6 +429,7 @@ pub fn e6_linearizability(quick: bool) {
     println!("### Exhaustive exploration (all schedules, invariants checked each step)\n");
     let mut t =
         Table::new(["config", "programs", "states", "transitions", "complete", "violations"]);
+    let mut failed_configs = Vec::new();
     let configs: Vec<(&str, usize, Vec<Vec<SimOp>>)> = vec![
         (
             "N=2 W=1",
@@ -369,14 +464,17 @@ pub fn e6_linearizability(quick: bool) {
                 r.complete.to_string(),
                 "0".into(),
             ]),
-            Err(f) => t.row([
-                label.to_string(),
-                progdesc,
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                f.to_string(),
-            ]),
+            Err(f) => {
+                failed_configs.push(label);
+                t.row([
+                    label.to_string(),
+                    progdesc,
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    f.to_string(),
+                ]);
+            }
         }
     }
     t.print();
@@ -384,6 +482,7 @@ pub fn e6_linearizability(quick: bool) {
     println!("\n### Sampled schedules with Wing–Gong history checking\n");
     let seeds: u64 = if quick { 300 } else { 3_000 };
     let mut t = Table::new(["config", "scheduler", "histories", "ops checked", "violations"]);
+    let (mut histories, mut non_linearizable) = (0u64, 0u64);
     for (n, w) in [(2usize, 1usize), (3, 1), (3, 2), (4, 2)] {
         for flavor in ["random", "weighted", "starve"] {
             let mut ops_checked = 0u64;
@@ -420,9 +519,8 @@ pub fn e6_linearizability(quick: bool) {
                 ops_checked.to_string(),
                 violations.to_string(),
             ]);
-            if violations > 0 {
-                println!("!! LINEARIZABILITY VIOLATION in N={n} W={w} {flavor}");
-            }
+            histories += seeds;
+            non_linearizable += violations;
         }
     }
     t.print();
@@ -469,6 +567,13 @@ pub fn e6_linearizability(quick: bool) {
     println!();
     println!("Shape check: zero violations everywhere; exhaustive rows cover *every* schedule,");
     println!("and the LP monitor extends the guarantee to histories of 10^5+ operations.\n");
+    check_none("E6", "exhaustive configs with a violation", &failed_configs);
+    check(
+        "E6",
+        non_linearizable == 0,
+        format!("{non_linearizable} of {histories} sampled histories not linearizable (bound: 0)"),
+    );
+    println!();
 }
 
 fn checksum(words: &[u64]) -> u64 {
@@ -491,6 +596,7 @@ pub fn e7_helping(quick: bool) {
         "sc success rate",
         "torn values returned",
     ]);
+    let (mut reads, mut torn_total) = (0u64, 0u64);
     for (n, w) in [(2usize, 64usize), (4, 64), (4, 256), (8, 128)] {
         let init = {
             let mut v = vec![0u64; w - 1];
@@ -532,6 +638,8 @@ pub fn e7_helping(quick: bool) {
         for j in joins {
             j.join().unwrap();
         }
+        reads += reader_ops;
+        torn_total += torn;
         let s = obj.stats();
         t.row([
             n.to_string(),
@@ -550,10 +658,16 @@ pub fn e7_helping(quick: bool) {
     println!();
     println!("On commodity hardware the overtaken-reader case (paper §2.5 Case iii) is rare:");
     println!("a reader must be descheduled long enough for 2N successful SCs to land inside");
-    println!("one of its copy loops. Helped counts are therefore small — but *zero torn");
-    println!("values were ever returned*, so every occurrence was masked. The table below");
-    println!("drives the same code path deterministically in the simulator, where the");
-    println!("starvation scheduler makes helping mandatory:\n");
+    println!("one of its copy loops. Helped counts are therefore small, and a torn value");
+    println!("returned by any LL would violate linearizability.\n");
+    check(
+        "E7",
+        torn_total == 0,
+        format!("{torn_total} torn values in {reads} reader LLs (bound: 0)"),
+    );
+    println!();
+    println!("The table below drives the same code path deterministically in the");
+    println!("simulator, where the starvation scheduler makes helping mandatory:\n");
 
     let mut t = Table::new([
         "N",
@@ -565,6 +679,7 @@ pub fn e7_helping(quick: bool) {
         "helps given",
         "verdict",
     ]);
+    let mut failed_rows = Vec::new();
     for (n, w, grant) in [(2usize, 8usize, 80u64), (3, 8, 120), (4, 16, 200), (4, 32, 400)] {
         let mut programs = vec![inc_program(30); n];
         programs[0] = vec![SimOp::Ll, SimOp::Ll, SimOp::Ll, SimOp::Ll];
@@ -573,6 +688,9 @@ pub fn e7_helping(quick: bool) {
         let report = run(sim, &mut StarveVictim::new(0, grant), &RunConfig::default())
             .unwrap_or_else(|f| panic!("E7 sim violation: {f}"));
         let ok = report.completed && report.helped_lls > 0;
+        if !ok {
+            failed_rows.push(format!("N={n} W={w}"));
+        }
         t.row([
             n.to_string(),
             w.to_string(),
@@ -588,16 +706,62 @@ pub fn e7_helping(quick: bool) {
     println!();
     println!("Shape check: under forced starvation every victim LL is helped (helped > 0),");
     println!("rescues appear, and the run still completes within the wait-freedom bounds.\n");
+    check_none("E7", "starved configs not completed or never helped", &failed_rows);
+    println!();
+}
+
+/// One E8 storm: `n` threads, each looping LL, `v[0] += 1`, SC until
+/// `per_thread` of its SCs succeed. Returns the throughput over the
+/// workers' own wall and handle 0's retired-words high-water, sampled
+/// during the storm because post-storm the limbo backlog has already
+/// drained to ~0.
+fn storm(algo: Algo, n: usize, w: usize, per_thread: u64) -> (f64, usize) {
+    let (handles, _space) = build(algo, n, w, &vec![0u64; w]);
+    let barrier = Barrier::new(n);
+    let runs: Vec<(Instant, Instant, usize)> = std::thread::scope(|s| {
+        let joins: Vec<_> = handles
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut h)| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let mut v = vec![0u64; w];
+                    let (mut wins, mut retired) = (0u64, 0usize);
+                    barrier.wait();
+                    let start = Instant::now();
+                    while wins < per_thread {
+                        h.ll(&mut v);
+                        v[0] += 1;
+                        if h.sc(&v) {
+                            wins += 1;
+                            if i == 0 {
+                                retired = retired.max(h.space().retired_words);
+                            }
+                        }
+                    }
+                    (start, Instant::now(), retired)
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    });
+    let secs = worker_wall(runs.iter().map(|r| (r.0, r.1))).as_secs_f64();
+    (per_thread as f64 * n as f64 / secs, runs.iter().map(|r| r.2).max().unwrap_or(0))
 }
 
 /// E8 — end-to-end comparison: throughput and space, all implementations.
 pub fn e8_compare(quick: bool) {
     println!("## E8 — N-thread fetch-update storm: throughput and space\n");
+    const STORMS: usize = 3;
+    const N: usize = 8;
     let per_thread: u64 = if quick { 10_000 } else { 50_000 };
+    let iters: u64 = if quick { 20_000 } else { 200_000 };
+    let (mut jp_off_formula, mut am_ratios) = (Vec::new(), Vec::new());
     for w in [2usize, 8, 64] {
         let mut t = Table::new([
             "algo",
             "progress",
+            "solo LL;SC (N=8)",
             "N=2",
             "N=4",
             "N=8",
@@ -605,56 +769,34 @@ pub fn e8_compare(quick: bool) {
             "retired high-water",
             "space class",
         ]);
+        let (mut jp, mut am) = (0, 0);
         for algo in Algo::ALL {
             let mut cells: Vec<String> = Vec::new();
             // Post-storm reclamation backlog (the epoch-limbo high-water
             // mark): 0 by construction for the bounded algorithms, bounded
             // by O(threads × bag size) for the pointer-swap substrate.
             let mut retired_high = 0usize;
-            for n in [2usize, 4, 8] {
-                let init = vec![0u64; w];
-                let (handles, _space) = build(algo, n, w, &init);
-                let barrier = Barrier::new(n);
-                let runs: Vec<(Instant, Instant, usize)> = std::thread::scope(|s| {
-                    let joins: Vec<_> = handles
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, mut h)| {
-                            let barrier = &barrier;
-                            s.spawn(move || {
-                                let mut v = vec![0u64; w];
-                                let (mut wins, mut retired) = (0u64, 0usize);
-                                barrier.wait();
-                                let start = Instant::now();
-                                while wins < per_thread {
-                                    h.ll(&mut v);
-                                    v[0] += 1;
-                                    if h.sc(&v) {
-                                        wins += 1;
-                                        // Sample the limbo backlog *during*
-                                        // the storm — post-storm it has
-                                        // already decongested to ~0.
-                                        if i == 0 {
-                                            retired = retired.max(h.space().retired_words);
-                                        }
-                                    }
-                                }
-                                (start, Instant::now(), retired)
-                            })
-                        })
-                        .collect();
-                    joins.into_iter().map(|j| j.join().unwrap()).collect()
-                });
-                retired_high = runs.iter().map(|r| r.2).fold(retired_high, usize::max);
-                let secs = worker_wall(runs.iter().map(|r| (r.0, r.1))).as_secs_f64();
-                let total_ops = per_thread * n as u64;
-                cells.push(fmt_ops(total_ops as f64 / secs));
+            for n in [2usize, 4, N] {
+                let mut ops = [0f64; STORMS];
+                for o in &mut ops {
+                    let (ops_s, retired) = storm(algo, n, w, per_thread);
+                    *o = ops_s;
+                    retired_high = retired_high.max(retired);
+                }
+                let (q1, median, q3) = quartiles(&ops);
+                cells.push(fmt_iqr(median, q3 - q1, fmt_ops));
             }
-            let init = vec![0u64; w];
-            let (_h, space) = build(algo, 8, w, &init);
+            let (mut handles, space) = build(algo, N, w, &vec![0u64; w]);
+            let (_, solo) = ll_and_pair_ns(&mut handles[..1], iters)[0];
+            match algo {
+                Algo::Jp => jp = space.shared_words,
+                Algo::AmStyle => am = space.shared_words,
+                _ => {}
+            }
             t.row([
                 algo.name().to_string(),
                 algo.progress().to_string(),
+                ns_cell(&solo),
                 cells[0].clone(),
                 cells[1].clone(),
                 cells[2].clone(),
@@ -663,13 +805,97 @@ pub fn e8_compare(quick: bool) {
                 space.asymptotic.to_string(),
             ]);
         }
+        if jp != 3 * N * w + 3 * N + 1 {
+            jp_off_formula.push(w);
+        }
+        am_ratios.push(am as f64 / jp as f64);
         println!("### W = {w}\n");
         t.print();
         println!();
     }
+    println!("Solo: handle 0 of the N = 8 object running alone, median ±IQR over {BLOCKS}");
+    println!("blocks. N = 2, 4, 8: median ±IQR of {STORMS} storms. Throughput has no bound: the");
+    println!("N = 4 and N = 8 storms oversubscribe a 2-vCPU host, so who is descheduled");
+    println!("mid-operation decides them as much as the algorithm does.\n");
     println!("Shape check: jp-waitfree throughput within a small constant of am-style and");
     println!("ptr-swap, while its space column is ~N× below am-style — the paper's claim:");
     println!("same time class, factor-N less space, no GC dependence.\n");
+    check_none("E8", "W where jp-waitfree words at N = 8 ≠ 3NW + 3N + 1", &jp_off_formula);
+    let min_ratio = am_ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    check(
+        "E8",
+        min_ratio >= (N / 2) as f64,
+        format!("am-style/jp words at N = 8, lowest over W = {min_ratio:.2}x (bound ≥ {}x)", N / 2),
+    );
+    println!();
+}
+
+/// E9 — reclamation: what a successful SC costs on the epoch substrate
+/// (allocate + CAS + retire + amortized collection) against the tagged
+/// substrate's one CAS, and how many heap nodes a swapping cell holds.
+pub fn e9_reclamation(quick: bool) {
+    println!("## E9 — reclamation overhead and steady-state memory (one thread)\n");
+    println!("Claim (ours): the epoch scheme (`smr`) keeps the pointer substrate's memory");
+    println!("at O(threads × bag size) retired nodes whatever the swap count, at an SC");
+    println!("overhead within the allocation-per-SC design's budget.\n");
+    let iters: u64 = if quick { 100_000 } else { 1_000_000 };
+    let tagged = TaggedLlSc::new(32, 0);
+    let epoch = EpochLlSc::new(0);
+    // Variants: LL alone and the LL;SC pair, on each substrate.
+    let ns = bench_ns(iters, 4, |v| {
+        if v < 2 {
+            let (x, link) = tagged.ll();
+            if v == 1 {
+                let _ = tagged.sc(link, x + 1);
+            }
+        } else {
+            let (x, link) = epoch.ll();
+            if v == 3 {
+                let _ = epoch.sc(link, x.wrapping_add(1));
+            }
+        }
+    });
+    let stale_cell = EpochLlSc::new(0);
+    let (_, stale) = stale_cell.ll();
+    let (_, link) = stale_cell.ll();
+    assert!(stale_cell.sc(link, 1), "uncontended SC succeeds");
+    let epoch_fail = bench_ns(iters, 1, |_| {
+        let _ = stale_cell.sc(stale, 2);
+    })[0];
+
+    const SWAPS: u64 = 200_000;
+    let cell = EpochLlSc::new(0);
+    let mut high_water = 0usize;
+    for _ in 0..SWAPS {
+        let (v, link) = cell.ll();
+        assert!(cell.sc(link, v.wrapping_add(1)), "uncontended SC succeeds");
+        high_water = high_water.max(cell.tracked_nodes());
+    }
+    smr::try_flush();
+    // The reclamation suite's backlog bound, `(threads + 2) × ADVANCE_EVERY
+    // × 16`, at one thread.
+    let bound = 3 * smr::ADVANCE_EVERY as usize * 16;
+
+    let mut t = Table::new(["measurement", "value"]);
+    t.row(["tagged SC (success)".to_string(), ns_cell(&ns[1].minus(&ns[0]))]);
+    t.row([
+        "epoch SC (success: alloc + CAS + retire + amortized collection)".to_string(),
+        ns_cell(&ns[3].minus(&ns[2])),
+    ]);
+    t.row(["epoch SC (failure: no retire)".to_string(), ns_cell(&epoch_fail)]);
+    t.row([format!("node high-water, {SWAPS} successful swaps"), high_water.to_string()]);
+    t.row(["nodes tracked after a flush".to_string(), cell.tracked_nodes().to_string()]);
+    t.print();
+    println!();
+    println!("Timings: median ±IQR over {BLOCKS} blocks; a successful SC is the LL;SC pair");
+    println!("minus LL, block by block. Without reclamation the high-water would equal the");
+    println!("number of successful swaps.\n");
+    check(
+        "E9",
+        high_water < bound,
+        format!("node high-water = {high_water} (bound < (1 + 2) × ADVANCE_EVERY × 16 = {bound})"),
+    );
+    println!();
 }
 
 /// Builds a [`Store`] via [`Store::try_new`] and exits the CLI with a
@@ -704,8 +930,7 @@ pub fn e10_store(quick: bool) {
             println!("error (no panic): \"{e}\"\n");
         }
         other => {
-            eprintln!("mwllsc-harness: expected ShardCapacityTooLarge, got {other:?}");
-            std::process::exit(2);
+            check("E10", false, format!("2^22 + 1 slots gave {other:?}, not ShardCapacityTooLarge"))
         }
     }
 
@@ -728,6 +953,7 @@ pub fn e10_store(quick: bool) {
         "retired",
         "words/key",
     ]);
+    let mut off_rollup = Vec::new();
     for shards in [1usize, 2, 4, 8, 16, 32, 64] {
         let store = build_store(StoreConfig::new(shards, threads, w, KEYS));
         let barrier = Barrier::new(threads);
@@ -762,6 +988,9 @@ pub fn e10_store(quick: bool) {
         let secs = worker_wall(spans).as_secs_f64();
         let space = store.space();
         let stats = store.stats();
+        if space.shared_words != space.touched_keys * space.per_key_shared_words {
+            off_rollup.push(format!("{shards} shards"));
+        }
         t.row([
             shards.to_string(),
             fmt_ops(per_thread as f64 * threads as f64 / secs),
@@ -789,7 +1018,7 @@ pub fn e10_store(quick: bool) {
         "eager words (avoided)",
         "boundary keys ok",
     ]);
-    let mut all_ok = true;
+    let mut boundary_failed = Vec::new();
     for exp in [20u32, 22, 24] {
         let keys = 1u64 << exp;
         let store = build_store(StoreConfig::new(64, 2, w, keys));
@@ -805,6 +1034,9 @@ pub fn e10_store(quick: bool) {
         ok &= h.update(keys - 1, |v| v[0] = keys).unwrap()[0] == keys;
         ok &= h.read_vec(0).unwrap()[0] == 1;
         let space = store.space();
+        if space.shared_words != space.touched_keys * space.per_key_shared_words {
+            off_rollup.push(format!("2^{exp} keys"));
+        }
         t.row([
             format!("2^{exp}"),
             format!("{:.2}x", keys as f64 / Layout::MAX_PROCESSES as f64),
@@ -813,18 +1045,18 @@ pub fn e10_store(quick: bool) {
             space.eager_words().to_string(),
             ok.to_string(),
         ]);
-        all_ok &= ok;
+        if !ok {
+            boundary_failed.push(format!("2^{exp}"));
+        }
     }
     t.print();
     println!();
     println!("Shape check: live words track *touched* keys only — a 2^24-key store costs");
     println!("what its working set costs, while the eager column (full materialization)");
     println!("is what a non-lazy design would pay up front.\n");
-    // The CI smoke job gates on this exit code, not on reading the table.
-    if !all_ok {
-        eprintln!("mwllsc-harness: E10 boundary-key check FAILED (see table above)");
-        std::process::exit(2);
-    }
+    check_none("E10", "rows where shared words ≠ touched × words/key", &off_rollup);
+    check_none("E10", "key spaces with a wrong boundary or strided key", &boundary_failed);
+    println!();
 }
 
 /// E11 — multi-backend store shards and the batched `update_many` path.
@@ -844,10 +1076,11 @@ pub fn e11_backends(quick: bool) {
             println!("Config validation: shard_capacity = 2^15 + 1 on the am-style backend");
             println!("rejected with a typed error against *its* ceiling (no panic): \"{e}\"\n");
         }
-        other => {
-            eprintln!("mwllsc-harness: expected ShardCapacityTooLarge, got {other:?}");
-            std::process::exit(2);
-        }
+        other => check(
+            "E11",
+            false,
+            format!("2^15 + 1 am-style slots gave {other:?}, not ShardCapacityTooLarge"),
+        ),
     }
 
     const KEYS: u64 = 1 << 24;
@@ -885,7 +1118,7 @@ pub fn e11_backends(quick: bool) {
         "words/key",
         "retired",
     ]);
-    let mut all_ok = true;
+    let mut lost = Vec::new();
     let mut paper_speedup = 0.0f64;
     for store in &stores {
         let mut h = store.attach_dyn();
@@ -920,15 +1153,9 @@ pub fn e11_backends(quick: bool) {
 
         // Exactness across all three phases: seed + reps per write phase.
         let expected = 1 + 2 * reps as u64;
-        for &k in &keys {
-            let got = h.read_vec(k).unwrap();
-            if got[0] != expected {
-                eprintln!(
-                    "mwllsc-harness: E11 {} key {k}: expected {expected}, got {got:?}",
-                    store.backend()
-                );
-                all_ok = false;
-            }
+        let wrong = keys.iter().filter(|&&k| h.read_vec(k).unwrap()[0] != expected).count();
+        if wrong > 0 {
+            lost.push(format!("{}: {wrong} keys", store.backend()));
         }
 
         let speedup = update_ns / many_ns;
@@ -949,11 +1176,11 @@ pub fn e11_backends(quick: bool) {
     }
     t.print();
     println!();
-    println!("Shape check: update_many amortizes routing, shard-slot lookup, object-");
-    println!("table locking, and counter flushes over each (shard, key)-sorted batch.");
+    println!("Shape check: update_many amortizes routing, shard-slot lookup, the lock-free");
+    println!("key-table lookup, and counter flushes over each (shard, key)-sorted batch.");
     println!("The amortized slice matters most where per-update cost is highest: the");
     println!("paper backend ran at {paper_speedup:.2}x this run, while the cheap O(W) baselines");
-    println!("(~75–100 ns/update) hover near parity single-core — their batched win is");
+    println!("(~75–100 ns/update) hover near parity on one handle — their batched win is");
     println!("expected from shard-run locality and counter-line contention on real");
     println!("cores. The words/key column is the per-backend space story:");
     println!("3cW + 3c + 1 for the tagged paper variants (the epoch substrate adds its");
@@ -961,13 +1188,51 @@ pub fn e11_backends(quick: bool) {
     println!("am-style; `retired` is the epoch substrates' bounded reclamation");
     println!("backlog, 0 for the rest.\n");
     if paper_speedup < 1.0 {
-        println!("NOTE: paper-backend update_many did not beat per-key update this run;");
-        println!("single-core timing noise — re-run, and measure on pinned hardware.\n");
+        println!("NOTE: paper-backend update_many did not beat per-key update this run.");
+        println!("The batch speedup is reported, not bounded.\n");
     }
-    if !all_ok {
-        eprintln!("mwllsc-harness: E11 exactness check FAILED (see above)");
-        std::process::exit(2);
+    check_none("E11", "backends with a key off seed + 2 × passes", &lost);
+    println!();
+}
+
+/// Ablations — what the design choices cost when nothing contends: the
+/// substrate backing the multiword object's cells, and the paper's
+/// announce-and-help LL against the lock-free retry-loop LL.
+pub fn ablations(quick: bool) {
+    const N: usize = 4;
+    const W: usize = 8;
+    println!("## Ablations — design choices, one handle, uncontended (N = {N}, W = {W})\n");
+    let iters: u64 = if quick { 20_000 } else { 200_000 };
+    let init = [0u64; W];
+    let config = "a valid N, W";
+    // Tagged cells are the default backing, so the wait-free handle is
+    // also the tagged side of the backing row.
+    let mut strategies = [LlStrategy::WaitFree, LlStrategy::RetryLoop].map(|s| {
+        MwLlSc::try_with_strategy(N, W, &init, s).expect(config).claim(0).expect("fresh object")
+    });
+    let t = ll_and_pair_ns(&mut strategies, iters);
+    let ((wf_ll, wf_pair), (retry_ll, retry_pair)) = (t[0], t[1]);
+    let epoch_obj = MwLlSc::<EpochLlSc>::try_new_in(N, W, &init).expect(config);
+    let (_, epoch) = ll_and_pair_ns(&mut [epoch_obj.claim(0).expect("fresh object")], iters)[0];
+
+    let mut t = Table::new(["ablation", "variant A", "variant B", "B/A"]);
+    for (what, a, b) in [
+        ("multiword LL;SC: tagged (A) vs epoch (B) cells", wf_pair, epoch),
+        ("LL: wait-free (A) vs retry-loop (B)", wf_ll, retry_ll),
+        ("LL;SC: wait-free (A) vs retry-loop (B) LL", wf_pair, retry_pair),
+    ] {
+        t.row([
+            what.to_string(),
+            ns_cell(&a),
+            ns_cell(&b),
+            format!("{:.2}x", b.median() / a.median()),
+        ]);
     }
+    t.print();
+    println!();
+    println!("Cells: median ±IQR over {BLOCKS} blocks. Reported, not bounded: these are the");
+    println!("uncontended prices of the paper's choices; E5 shows what wait-freedom buys.");
+    println!("The raw single-word substrate costs are E9's.\n");
 }
 
 /// E12 — model checking the shipping code through the instrumented
@@ -1021,8 +1286,8 @@ pub fn e12_model(quick: bool) {
         };
         let wall = start.elapsed();
         if let Some(f) = &report.failure {
-            eprintln!("!! E12 {tag}: schedule {:?}: {}", f.schedule, f.error);
-            std::process::exit(2);
+            check("E12", false, format!("{tag}: schedule {:?}: {}", f.schedule, f.error));
+            continue;
         }
         assert_eq!(report.truncated, 0, "{tag}: depth bound hit");
         t.row([
@@ -1117,12 +1382,15 @@ pub fn e14_lint(_quick: bool) {
     t.print();
     println!("\nfiles scanned: {}, baselined: {}\n", report.files_scanned, report.baselined);
 
-    if report.findings.is_empty() {
-        println!("Result: clean — the tree conforms to LINT_POLICY.md.\n");
-    } else {
+    if !report.findings.is_empty() {
         println!("{}", report.to_human());
-        std::process::exit(1);
     }
+    check(
+        "E14",
+        report.findings.is_empty(),
+        format!("{} lint findings against LINT_POLICY.md (bound: 0)", report.findings.len()),
+    );
+    println!();
 }
 
 /// Runs every experiment in order.
@@ -1135,8 +1403,10 @@ pub fn all(quick: bool) {
     e6_linearizability(quick);
     e7_helping(quick);
     e8_compare(quick);
+    e9_reclamation(quick);
     e10_store(quick);
     e11_backends(quick);
+    ablations(quick);
     e14_lint(quick);
     #[cfg(mwllsc_model)]
     e12_model(quick);

@@ -1,4 +1,5 @@
-//! `mwllsc-harness` — regenerates every table of `EXPERIMENTS.md`.
+//! `mwllsc-harness` — regenerates every table of `EXPERIMENTS.md` and
+//! checks each paper claim against a stated bound.
 //!
 //! ```text
 //! mwllsc-harness <experiment> [--quick]
@@ -12,8 +13,10 @@
 //!   e6-linearizability   exhaustive + sampled linearizability checking
 //!   e7-helping           helping-path statistics under real-thread storms
 //!   e8-compare           throughput + space, all implementations
+//!   e9-reclamation       epoch-substrate SC cost and node high-water
 //!   e10-store            sharded store: throughput vs shards, key scaling
 //!   e11-backends         multi-backend store matrix + batched update_many
+//!   ablations            substrate and LL-strategy design choices
 //!   e12-model            model checking of the shipping code (needs
 //!                        `RUSTFLAGS='--cfg mwllsc_model'`)
 //!   e14-lint             static policy sweep (mwllsc-lint) over the
@@ -21,9 +24,13 @@
 //!   all                  everything above, in order
 //! ```
 //!
-//! `--quick` shrinks iteration counts ~10x for smoke runs (used by the CI
-//! smoke jobs). Throughput and latency of the store, mesh and
-//! server are measured by the repository benchmark, `perfbench/`.
+//! Timings are medians with their interquartile range over blocks of
+//! iterations. Each experiment ends in bounded checks; a failed one prints
+//! `CHECK FAILED: <experiment>: <what>`, and the process exits 1 after the
+//! remaining experiments have run. `--quick` shrinks iteration counts ~10x
+//! for smoke runs (CI runs `all --quick`). Throughput and latency of the
+//! store, mesh and server are measured by the repository benchmark,
+//! `perfbench/`.
 
 mod experiments;
 mod table;
@@ -32,8 +39,8 @@ mod timing;
 fn usage() -> ! {
     eprintln!(
         "usage: mwllsc-harness <e1-space|e2-time-w|e3-time-n|e4-vl|e5-waitfree|\
-         e6-linearizability|e7-helping|e8-compare|e10-store|e11-backends|\
-         e12-model|e14-lint|all> [--quick]"
+         e6-linearizability|e7-helping|e8-compare|e9-reclamation|e10-store|\
+         e11-backends|ablations|e12-model|e14-lint|all> [--quick]"
     );
     std::process::exit(2);
 }
@@ -60,11 +67,18 @@ fn main() {
         "e6-linearizability" => experiments::e6_linearizability(quick),
         "e7-helping" => experiments::e7_helping(quick),
         "e8-compare" => experiments::e8_compare(quick),
+        "e9-reclamation" => experiments::e9_reclamation(quick),
         "e10-store" => experiments::e10_store(quick),
         "e11-backends" => experiments::e11_backends(quick),
+        "ablations" => experiments::ablations(quick),
         "e12-model" => experiments::e12_model(quick),
         "e14-lint" => experiments::e14_lint(quick),
         "all" => experiments::all(quick),
         _ => usage(),
+    }
+    let failed = experiments::failed_checks();
+    if failed > 0 {
+        eprintln!("mwllsc-harness: {failed} bounded check(s) failed (see CHECK FAILED above)");
+        std::process::exit(1);
     }
 }

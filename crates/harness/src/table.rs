@@ -64,6 +64,14 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// Formats a median with its interquartile range in `unit`'s format
+/// (`"47.1 ns ±1.2 ns"`). A negative median, a derived difference lost in
+/// noise, is flagged `(neg)`, never clamped.
+pub fn fmt_iqr(median: f64, iqr: f64, unit: fn(f64) -> String) -> String {
+    let neg = if median < 0.0 { " (neg)" } else { "" };
+    format!("{} ±{}{neg}", unit(median), unit(iqr))
+}
+
 /// Formats an operations-per-second figure compactly.
 pub fn fmt_ops(ops: f64) -> String {
     if ops >= 1e6 {
@@ -105,5 +113,7 @@ mod tests {
         assert_eq!(fmt_ops(2_500_000.0), "2.50 Mops/s");
         assert_eq!(fmt_ops(1_500.0), "1.5 Kops/s");
         assert_eq!(fmt_ops(42.0), "42 ops/s");
+        assert_eq!(fmt_iqr(47.14, 1.2, fmt_ns), "47.1 ns ±1.2 ns");
+        assert_eq!(fmt_iqr(-2.0, 1.5, fmt_ns), "-2.0 ns ±1.5 ns (neg)");
     }
 }

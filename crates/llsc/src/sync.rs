@@ -4,8 +4,8 @@
 //! Every shared-memory access the `llsc-word` and `mwllsc` crates perform
 //! goes through the types re-exported here instead of using
 //! `std::sync::atomic` directly. In a normal build the re-exports *are*
-//! the std types (a zero-cost facade — asserted by a `TypeId` guard in the
-//! tests and in `crates/bench`). When the workspace is compiled with
+//! the std types (a zero-cost facade — asserted by a `TypeId` and layout
+//! guard in this module's tests). When the workspace is compiled with
 //! `RUSTFLAGS='--cfg mwllsc_model'`, the re-exports switch to the
 //! instrumented types in [`model`], which trap every load, store, RMW,
 //! fence, and yield point into a pluggable per-thread [`hook::StepHook`]
@@ -724,6 +724,9 @@ mod tests {
         assert_eq!(TypeId::of::<AtomicUsize>(), TypeId::of::<std::sync::atomic::AtomicUsize>());
         assert_eq!(TypeId::of::<AtomicBool>(), TypeId::of::<std::sync::atomic::AtomicBool>());
         assert_eq!(TypeId::of::<AtomicPtr<u8>>(), TypeId::of::<std::sync::atomic::AtomicPtr<u8>>());
+        // Layout on top of identity: a facade atomic costs exactly one word.
+        assert_eq!(size_of::<AtomicU64>(), size_of::<u64>());
+        assert_eq!(align_of::<AtomicU64>(), align_of::<u64>());
     }
 
     #[test]

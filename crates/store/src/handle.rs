@@ -29,8 +29,7 @@ use crate::store::{Shard, Store, StoreError};
 /// Like the core [`Handle`](mwllsc::Handle), a `StoreHandle` is `Send`
 /// but deliberately not `Clone`: the `&mut self` methods statically
 /// enforce one outstanding operation per handle, and each concurrent
-/// actor should hold its own (or use [`Store::with`] for thread-cached
-/// acquisition).
+/// actor should hold its own.
 ///
 /// # Examples
 ///

@@ -110,13 +110,11 @@ mod handle;
 mod router;
 mod store;
 mod table;
-mod tls;
 
 pub use dynstore::{DynStore, DynStoreHandle};
 pub use handle::StoreHandle;
 pub use router::{fnv1a, Router};
 pub use store::{Store, StoreConfig, StoreError, StoreSpace, StoreStats};
-pub use tls::detach_current_thread;
 
 // The backend vocabulary, re-exported so store consumers need not import
 // from the core crate: the default paper backend plus the substrate

@@ -165,7 +165,7 @@ pub(crate) struct Shard {
 ///
 /// See the [crate docs](crate) for the architecture; construction is
 /// [`Store::try_new`] (or the panicking [`Store::new`]), access is through
-/// [`Store::attach`] / [`Store::with`].
+/// [`Store::attach`].
 ///
 /// # Backends
 ///

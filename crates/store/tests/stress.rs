@@ -340,11 +340,11 @@ fn batched_updates_are_exact_on_the_epoch_backend() {
     assert_eq!(stats.sc_successes, stats.updates, "every batched update landed exactly one SC");
 }
 
-/// Thread-cached handle churn: short-lived workers acquire handles via
-/// `Store::with`, increment shared keys, and exit; totals stay exact and
-/// all leases come back.
+/// Handle churn: short-lived workers each attach a handle, increment
+/// shared keys, and drop it before exiting; totals stay exact and all
+/// leases come back.
 #[test]
-fn with_churn_releases_leases_and_loses_nothing() {
+fn worker_churn_releases_leases_and_loses_nothing() {
     const WORKERS: usize = 6;
     let seed = stress_seed();
     let rounds = stress_iters(4);
@@ -356,6 +356,7 @@ fn with_churn_releases_leases_and_loses_nothing() {
                 let store = Arc::clone(&store);
                 std::thread::spawn(move || {
                     let mut jitter = Jitter::new(seed, (round * WORKERS + t) as u64);
+                    let mut h = store.attach();
                     for i in 0..incs {
                         jitter.perturb();
                         // Two hot shared keys plus a per-thread private one.
@@ -364,15 +365,16 @@ fn with_churn_releases_leases_and_loses_nothing() {
                             1 => 777_777,
                             _ => 1000 + t as u64,
                         };
-                        store.with(|h| h.update(key, |v| v[0] += 1).unwrap());
+                        h.update(key, |v| v[0] += 1).unwrap();
                     }
+                    drop(h);
                 })
             })
             .collect();
         for j in joins {
             j.join().unwrap();
         }
-        assert_eq!(store.live_slot_leases(), 0, "worker exits released cached handles");
+        assert_eq!(store.live_slot_leases(), 0, "dropped worker handles released their leases");
     }
     let mut h = store.attach();
     let mut total = 0u64;

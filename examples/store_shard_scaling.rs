@@ -2,9 +2,9 @@
 //! four times past the `N = 2^22` ceiling of a single object.
 //!
 //! A 64-shard [`Store`] serves 16,777,216 logical 2-word LL/SC variables.
-//! Workers acquire thread-cached [`StoreHandle`]s via `with()`, hammer a
-//! working set of keys strided across the *entire* key space (including
-//! both boundary keys), and the store materializes only what is touched:
+//! Each worker attaches its own [`StoreHandle`] and hammers a working set
+//! of keys strided across the *entire* key space (including both boundary
+//! keys); the store materializes only what is touched:
 //! the final report shows live words tracking the working set (tens of
 //! MiB) while the eager (materialize-everything) figure is ~9 GiB — the
 //! cost lazy initialization avoids.
@@ -49,6 +49,7 @@ fn main() {
         .map(|wid| {
             let store = Arc::clone(&store);
             std::thread::spawn(move || {
+                let mut h = store.attach();
                 let mut x = wid + 1;
                 let mut buf = [0u64; W];
                 for i in 0..UPDATES_PER_WORKER {
@@ -62,13 +63,11 @@ fn main() {
                         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                         ((x >> 13) % TOUCH) * stride
                     };
-                    store.with(|h| {
-                        h.update_with(key, &mut buf, |v| {
-                            v[0] += 1;
-                            v[1] = v[0] ^ key; // per-key torn-write detector
-                        })
-                        .unwrap();
-                    });
+                    h.update_with(key, &mut buf, |v| {
+                        v[0] += 1;
+                        v[1] = v[0] ^ key; // per-key torn-write detector
+                    })
+                    .unwrap();
                 }
             })
         })
