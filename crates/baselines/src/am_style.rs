@@ -51,7 +51,7 @@
 use mwllsc::sync::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use mwllsc::{ClaimError, ConfigError, MwFactory};
+use mwllsc::ClaimError;
 
 use llsc_word::{bits_for, Link, LlScCell, TaggedLlSc};
 
@@ -141,10 +141,9 @@ pub struct AmStyleLlSc {
     /// published slot.
     cursors: Box<[AtomicU32]>,
     /// Each process's `retval` scratch buffer, recycled across lease
-    /// generations so claim-per-operation consumers (the sharded store)
-    /// do not pay a heap allocation per operation. Uncontended by
-    /// construction — slot `p` is exclusively leased — so the mutex is
-    /// one uncontended RMW.
+    /// generations so claim-per-operation consumers do not pay a heap
+    /// allocation per operation. Uncontended by construction — slot `p`
+    /// is exclusively leased — so the mutex is one uncontended RMW.
     scratch: Box<[Mutex<Vec<u64>>]>,
 }
 
@@ -158,11 +157,17 @@ impl std::fmt::Debug for AmStyleLlSc {
 }
 
 impl AmStyleLlSc {
+    /// Largest admissible process count: the packed `X` record
+    /// `(owner, slot, seq)` must fit 48 bits, and at `N = 2^15` it uses
+    /// 15 + 17 + 16 = 48.
+    pub const MAX_PROCESSES: usize = 1 << 15;
+
     /// Creates the object for `n` processes, `w`-word values.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, `w == 0`, or `initial.len() != w`.
+    /// Panics if `n == 0`, `w == 0`, `initial.len() != w`, or
+    /// `n > MAX_PROCESSES`.
     #[must_use]
     pub fn new(n: usize, w: usize, initial: &[u64]) -> Arc<Self> {
         assert!(n > 0, "need at least one process");
@@ -317,48 +322,6 @@ impl Drop for AmHandle {
             std::mem::take(&mut self.retval);
         self.obj.cursors[p].store(self.cursor, Ordering::Relaxed);
         self.obj.claimed[p].store(false, Ordering::Release);
-    }
-}
-
-/// [`MwFactory`] marker: AM-style `Θ(N²W)` objects as a store backend —
-/// exists so the space-class comparison runs at store scale too.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AmStyleBackend;
-
-impl MwFactory for AmStyleBackend {
-    type Object = AmStyleLlSc;
-    type Slot<'a> = AmHandle;
-
-    const NAME: &'static str = "am-style";
-
-    fn progress() -> Progress {
-        Progress::WaitFree
-    }
-
-    fn max_processes() -> usize {
-        // The packed X record (owner, slot, seq) must fit 48 bits
-        // (`AmLayout::new`): at N = 2^15 it uses 15 + 17 + 16 = 48.
-        1 << 15
-    }
-
-    fn try_build(n: usize, w: usize, initial: &[u64]) -> Result<Arc<Self::Object>, ConfigError> {
-        ConfigError::validate(n, w, initial, Self::max_processes())?;
-        Ok(AmStyleLlSc::new(n, w, initial))
-    }
-
-    /// Leases the ordinary handle; a held `p` breaks the caller's
-    /// exclusivity precondition and panics.
-    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
-        obj.claim(p)
-    }
-
-    fn object_shared_words(n: usize, w: usize) -> usize {
-        // pools + help slots + X + Help, matching `space()`.
-        n * (2 * n + 1) * w + n * n * w + 1 + n
-    }
-
-    fn measured_shared_words(obj: &Self::Object) -> usize {
-        obj.space().shared_words
     }
 }
 

@@ -1,13 +1,12 @@
 //! Uniform construction of every implementation behind `dyn` handles, for
-//! the harness and benchmarks.
+//! the harness and the cross-implementation tests.
 
-use mwllsc::{ConfigError, LlStrategy, MwFactory, MwLlSc, PaperBackend, PaperRetryBackend};
-use mwllsc_store::{DynStore, Store, StoreConfig, StoreError};
+use mwllsc::{ConfigError, LlStrategy, MwLlSc};
 
-use crate::am_style::{AmStyleBackend, AmStyleLlSc};
-use crate::lock::{LockBackend, LockLlSc};
-use crate::ptrswap::{PtrSwapBackend, PtrSwapLlSc};
-use crate::seqlock::{SeqLockBackend, SeqLockLlSc};
+use crate::am_style::AmStyleLlSc;
+use crate::lock::LockLlSc;
+use crate::ptrswap::PtrSwapLlSc;
+use crate::seqlock::SeqLockLlSc;
 use crate::traits::{MwHandle, Progress, SpaceEstimate};
 
 /// Every multiword LL/SC implementation in the suite.
@@ -96,8 +95,9 @@ pub fn build(
 /// # Errors
 ///
 /// [`ConfigError`] for a zero `n` or `w`, an `initial` slice whose length
-/// differs from `w`, or (for the tagged-substrate algorithms) an `n` past
-/// [`mwllsc::layout::Layout::MAX_PROCESSES`].
+/// differs from `w`, or an `n` past the algorithm's own ceiling:
+/// [`mwllsc::layout::Layout::MAX_PROCESSES`] for the tagged-substrate
+/// algorithms, [`AmStyleLlSc::MAX_PROCESSES`] for AM-style.
 ///
 /// # Examples
 ///
@@ -121,7 +121,7 @@ pub fn try_build(
     // baselines.
     let max = match algo {
         Algo::Jp | Algo::JpRetry => mwllsc::layout::Layout::MAX_PROCESSES,
-        Algo::AmStyle => AmStyleBackend::max_processes(),
+        Algo::AmStyle => AmStyleLlSc::MAX_PROCESSES,
         Algo::Lock | Algo::SeqLock | Algo::PtrSwap => usize::MAX,
     };
     ConfigError::validate(n, w, initial, max)?;
@@ -186,43 +186,6 @@ pub fn try_build(
     })
 }
 
-/// Builds a sharded [`Store`](mwllsc_store::Store) whose shards
-/// materialize `algo`-backed objects, type-erased behind
-/// [`DynStore`] — the runtime companion of the compile-time
-/// `Store::<B>::try_new_in` path, for the harness CLI and
-/// configuration-driven services.
-///
-/// # Errors
-///
-/// The same [`StoreError`] matrix as `Store::try_new_in`, with
-/// `ShardCapacityTooLarge` judged against the *backend's* per-object
-/// ceiling (`Layout::MAX_PROCESSES` for the paper variants, `2^15` for
-/// AM-style, unbounded for the `O(W)` baselines).
-///
-/// # Examples
-///
-/// ```
-/// use llsc_baselines::{try_build_store, Algo};
-/// use mwllsc_store::StoreConfig;
-///
-/// let store = try_build_store(Algo::Lock, StoreConfig::new(4, 2, 1, 1 << 20)).unwrap();
-/// let mut h = store.attach_dyn();
-/// let mut buf = [0u64; 1];
-/// h.update_with_dyn(7, &mut buf, &mut |v| v[0] += 1).unwrap();
-/// assert_eq!(h.read_vec(7).unwrap(), vec![1]);
-/// assert_eq!(store.backend(), "lock");
-/// ```
-pub fn try_build_store(algo: Algo, config: StoreConfig) -> Result<Box<dyn DynStore>, StoreError> {
-    Ok(match algo {
-        Algo::Jp => Box::new(Store::<PaperBackend>::try_new_in(config)?),
-        Algo::JpRetry => Box::new(Store::<PaperRetryBackend>::try_new_in(config)?),
-        Algo::AmStyle => Box::new(Store::<AmStyleBackend>::try_new_in(config)?),
-        Algo::Lock => Box::new(Store::<LockBackend>::try_new_in(config)?),
-        Algo::SeqLock => Box::new(Store::<SeqLockBackend>::try_new_in(config)?),
-        Algo::PtrSwap => Box::new(Store::<PtrSwapBackend>::try_new_in(config)?),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,38 +246,6 @@ mod tests {
             try_build(Algo::AmStyle, (1 << 15) + 1, 1, &[0]).unwrap_err(),
             ConfigError::TooManyProcesses
         );
-    }
-
-    #[test]
-    fn try_build_store_serves_every_algo() {
-        for algo in Algo::ALL {
-            let store = try_build_store(algo, StoreConfig::new(4, 2, 2, 1 << 20))
-                .unwrap_or_else(|e| panic!("{algo}: {e}"));
-            let mut h = store.attach_dyn();
-            let mut buf = [0u64; 2];
-            h.update_with_dyn(123, &mut buf, &mut |v| v[0] += 1).unwrap();
-            h.update_many_dyn(&[123, 456], &mut |_, v| v[1] += 1).unwrap();
-            assert_eq!(h.read_vec(123).unwrap(), vec![1, 1], "{algo}");
-            let space = store.space();
-            assert_eq!(space.touched_keys, 2, "{algo}");
-            assert_eq!(space.shared_words, 2 * space.per_key_shared_words, "{algo}");
-        }
-    }
-
-    #[test]
-    fn store_capacity_is_judged_against_the_backends_own_ceiling() {
-        // The paper's tagged layout caps per-object processes at 2^22…
-        let too_big = mwllsc::layout::Layout::MAX_PROCESSES + 1;
-        assert!(matches!(
-            try_build_store(Algo::Jp, StoreConfig::new(1, too_big, 1, 10)).unwrap_err(),
-            StoreError::ShardCapacityTooLarge { .. }
-        ));
-        // …while AM-style's packed X record caps out at 2^15.
-        assert_eq!(
-            try_build_store(Algo::AmStyle, StoreConfig::new(1, (1 << 15) + 1, 1, 10)).unwrap_err(),
-            StoreError::ShardCapacityTooLarge { capacity: (1 << 15) + 1, max: 1 << 15 }
-        );
-        assert!(try_build_store(Algo::Jp, StoreConfig::new(1, 1 << 15, 1, 10)).is_ok());
     }
 
     #[test]

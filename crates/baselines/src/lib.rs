@@ -12,17 +12,14 @@
 //! | [`PtrSwapLlSc`] | wait-free ops | `O(W)` live + unbounded garbage | the "just use GC/epochs" design whose space discipline the paper's bounded buffers replace |
 //!
 //! All of them (and the paper's algorithm, via an adapter) implement
-//! [`MwHandle`], so the harness and benches drive them identically;
-//! [`build`] constructs any of them from an [`Algo`] tag.
+//! [`MwHandle`], so the harness drives them identically; [`build`]
+//! constructs any of them from an [`Algo`] tag. The comparison is object
+//! against object, where the paper makes it: the sharded store above
+//! (`mwllsc-store`) serves the paper's object only.
 //!
-//! Every baseline also ships an [`MwFactory`](mwllsc::MwFactory) marker
-//! ([`LockBackend`], [`SeqLockBackend`], [`PtrSwapBackend`],
-//! [`AmStyleBackend`]), so `mwllsc-store`'s sharded `Store` can serve a
-//! multi-million-key space over any of them; [`try_build_store`] selects
-//! a backend from an [`Algo`] tag at runtime. To make that possible the
-//! baselines' `claim` is now a *lease* (like the core algorithm's since
-//! the slot-registry redesign): dropping a handle frees its process id
-//! for a later [`try_claim`](LockLlSc::try_claim).
+//! The baselines' `claim` is a *lease*, like the core algorithm's:
+//! dropping a handle frees its process id for a later
+//! [`try_claim`](LockLlSc::try_claim).
 
 #![warn(missing_docs, missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -35,9 +32,9 @@ mod ptrswap;
 mod seqlock;
 mod traits;
 
-pub use am_style::{AmHandle, AmStyleBackend, AmStyleLlSc};
-pub use factory::{build, try_build, try_build_store, Algo};
-pub use lock::{LockBackend, LockHandle, LockLlSc};
-pub use ptrswap::{PtrSwapBackend, PtrSwapHandle, PtrSwapLlSc};
-pub use seqlock::{SeqLockBackend, SeqLockHandle, SeqLockLlSc};
+pub use am_style::{AmHandle, AmStyleLlSc};
+pub use factory::{build, try_build, Algo};
+pub use lock::{LockHandle, LockLlSc};
+pub use ptrswap::{PtrSwapHandle, PtrSwapLlSc};
+pub use seqlock::{SeqLockHandle, SeqLockLlSc};
 pub use traits::{MwHandle, Progress, SpaceEstimate};

@@ -12,7 +12,7 @@
 use mwllsc::sync::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use mwllsc::{ClaimError, ConfigError, MwFactory};
+use mwllsc::ClaimError;
 
 use crate::traits::{MwHandle, Progress, SpaceEstimate};
 
@@ -171,40 +171,6 @@ impl MwHandle for LockHandle {
 
     fn space(&self) -> SpaceEstimate {
         self.obj.space()
-    }
-}
-
-/// [`MwFactory`] marker: mutex-protected values as a store backend.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LockBackend;
-
-impl MwFactory for LockBackend {
-    type Object = LockLlSc;
-    type Slot<'a> = LockHandle;
-
-    const NAME: &'static str = "lock";
-
-    fn progress() -> Progress {
-        Progress::Blocking
-    }
-
-    fn try_build(n: usize, w: usize, initial: &[u64]) -> Result<Arc<Self::Object>, ConfigError> {
-        ConfigError::validate(n, w, initial, Self::max_processes())?;
-        Ok(LockLlSc::new(n, w, initial))
-    }
-
-    /// Leases the ordinary handle; a held `p` breaks the caller's
-    /// exclusivity precondition and panics.
-    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
-        obj.claim(p)
-    }
-
-    fn object_shared_words(_n: usize, w: usize) -> usize {
-        w + 2 // value + version + lock word, matching `space()`
-    }
-
-    fn measured_shared_words(obj: &Self::Object) -> usize {
-        obj.space().shared_words
     }
 }
 

@@ -29,7 +29,7 @@ use mwllsc::sync::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use llsc_word::DeferredSwapCell;
-use mwllsc::{ClaimError, ConfigError, MwFactory};
+use mwllsc::ClaimError;
 
 use crate::traits::{MwHandle, Progress, SpaceEstimate};
 
@@ -179,44 +179,6 @@ impl MwHandle for PtrSwapHandle {
 
     fn space(&self) -> SpaceEstimate {
         self.obj.space()
-    }
-}
-
-/// [`MwFactory`] marker: epoch pointer-swap objects as a store backend.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PtrSwapBackend;
-
-impl MwFactory for PtrSwapBackend {
-    type Object = PtrSwapLlSc;
-    type Slot<'a> = PtrSwapHandle;
-
-    const NAME: &'static str = "ptr-swap";
-
-    fn progress() -> Progress {
-        Progress::WaitFree
-    }
-
-    fn try_build(n: usize, w: usize, initial: &[u64]) -> Result<Arc<Self::Object>, ConfigError> {
-        ConfigError::validate(n, w, initial, Self::max_processes())?;
-        Ok(PtrSwapLlSc::new(n, w, initial))
-    }
-
-    /// Leases the ordinary handle; a held `p` breaks the caller's
-    /// exclusivity precondition and panics.
-    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
-        obj.claim(p)
-    }
-
-    fn object_shared_words(_n: usize, w: usize) -> usize {
-        w + 2 // live node value + pointer + seq word, matching `space()`
-    }
-
-    fn measured_shared_words(obj: &Self::Object) -> usize {
-        obj.space().shared_words
-    }
-
-    fn retired_words(obj: &Self::Object) -> usize {
-        obj.space().retired_words
     }
 }
 

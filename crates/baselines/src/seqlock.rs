@@ -18,7 +18,7 @@
 use mwllsc::sync::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mwllsc::{ClaimError, ConfigError, MwFactory};
+use mwllsc::ClaimError;
 
 use crate::traits::{MwHandle, Progress, SpaceEstimate};
 
@@ -193,40 +193,6 @@ impl MwHandle for SeqLockHandle {
 
     fn space(&self) -> SpaceEstimate {
         self.obj.space()
-    }
-}
-
-/// [`MwFactory`] marker: seqlocks as a store backend.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SeqLockBackend;
-
-impl MwFactory for SeqLockBackend {
-    type Object = SeqLockLlSc;
-    type Slot<'a> = SeqLockHandle;
-
-    const NAME: &'static str = "seqlock";
-
-    fn progress() -> Progress {
-        Progress::LockFree
-    }
-
-    fn try_build(n: usize, w: usize, initial: &[u64]) -> Result<Arc<Self::Object>, ConfigError> {
-        ConfigError::validate(n, w, initial, Self::max_processes())?;
-        Ok(SeqLockLlSc::new(n, w, initial))
-    }
-
-    /// Leases the ordinary handle; a held `p` breaks the caller's
-    /// exclusivity precondition and panics.
-    fn borrow_slot(obj: &Arc<Self::Object>, p: usize) -> Self::Slot<'_> {
-        obj.claim(p)
-    }
-
-    fn object_shared_words(_n: usize, w: usize) -> usize {
-        w + 1 // data + version word, matching `space()`
-    }
-
-    fn measured_shared_words(obj: &Self::Object) -> usize {
-        obj.space().shared_words
     }
 }
 

@@ -8,7 +8,7 @@
 //! One body serves both ways of holding the object: an `Arc` for the
 //! leases of [`claim`](MwLlSc::claim), [`attach`](MwLlSc::attach) and
 //! [`with`](MwLlSc::with), and a plain borrow for
-//! [`MwFactory::borrow_slot`](crate::MwFactory::borrow_slot).
+//! [`borrow_slot`](MwLlSc::borrow_slot).
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -34,8 +34,7 @@ use crate::variable::{LlStrategy, MwLlSc};
 ///
 /// `O` is how the handle holds its object: `Arc<MwLlSc<C>>` (the default)
 /// for leases, or `&MwLlSc<C>` for a slot borrowed with
-/// [`MwFactory::borrow_slot`](crate::MwFactory::borrow_slot), which pays
-/// no reference count.
+/// [`borrow_slot`](MwLlSc::borrow_slot), which pays no reference count.
 ///
 /// # Operation protocol
 ///

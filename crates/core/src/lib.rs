@@ -114,9 +114,7 @@ pub use pad::CachePadded;
 pub use registry::{AttachError, SlotRegistry};
 pub use stats::Stats;
 pub use tls::detach_current_thread;
-pub use traits::{
-    EpochBackend, MwFactory, MwHandle, PaperBackend, PaperRetryBackend, Progress, SpaceEstimate,
-};
+pub use traits::{MwHandle, Progress, SpaceEstimate};
 pub use variable::{ClaimError, ConfigError, LlStrategy, MwLlSc, SpaceReport};
 
 /// The epoch-based reclamation behind [`EpochLlSc`], re-exported.

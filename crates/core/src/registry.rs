@@ -26,7 +26,7 @@
 //! store keeps for every key: padding would multiply that array by 16,
 //! while the words are written only when a slot changes hands (a lease, a
 //! release, or the park at the end of a borrowed-slot operation — see
-//! [`MwFactory::borrow_slot`](crate::MwFactory::borrow_slot)). Processes
+//! [`MwLlSc::borrow_slot`](crate::MwLlSc::borrow_slot)). Processes
 //! operating on one object at once therefore share a line; the measured
 //! price is noted in `pad.rs`.
 

@@ -66,8 +66,8 @@ impl std::error::Error for ConfigError {}
 impl ConfigError {
     /// Checks the construction rules every implementation shares — `n` and
     /// `w` nonzero, `initial` of length `w`, `n` within `max_processes` —
-    /// so factories and backends validate identically instead of each
-    /// re-deriving the matrix.
+    /// so the paper's constructors and `llsc_baselines::try_build` validate
+    /// identically instead of each re-deriving the matrix.
     pub fn validate(n: usize, w: usize, initial: &[u64], max_processes: usize) -> Result<(), Self> {
         if n == 0 {
             return Err(Self::ZeroProcesses);
@@ -444,15 +444,14 @@ impl<C: NewCell> MwLlSc<C> {
     /// time (the store's shard-level slot lease) and letting that actor
     /// borrow `p` on one object at a time. Every build panics if a lease
     /// holds `p`; debug builds also take a real lease for the borrow, so
-    /// any second holder panics. Outside the crate the way in is
-    /// [`MwFactory::borrow_slot`](crate::MwFactory::borrow_slot).
+    /// any second holder panics.
     ///
     /// # Panics
     ///
     /// Panics if `p >= N` or a lease holds `p`, and in debug builds if
     /// any other holder has `p`.
     #[must_use]
-    pub(crate) fn borrow_slot(&self, p: usize) -> Handle<C, &Self> {
+    pub fn borrow_slot(&self, p: usize) -> Handle<C, &Self> {
         Handle::new(self, p, self.registry.borrow(p))
     }
 

@@ -15,7 +15,6 @@
 //!   e8-compare           throughput + space, all implementations
 //!   e9-reclamation       epoch-substrate SC cost and node high-water
 //!   e10-store            sharded store: throughput vs shards, key scaling
-//!   e11-backends         multi-backend store matrix + batched update_many
 //!   ablations            substrate and LL-strategy design choices
 //!   e12-model            model checking of the shipping code (needs
 //!                        `RUSTFLAGS='--cfg mwllsc_model'`)
@@ -40,7 +39,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: mwllsc-harness <e1-space|e2-time-w|e3-time-n|e4-vl|e5-waitfree|\
          e6-linearizability|e7-helping|e8-compare|e9-reclamation|e10-store|\
-         e11-backends|ablations|e12-model|e14-lint|all> [--quick]"
+         ablations|e12-model|e14-lint|all> [--quick]"
     );
     std::process::exit(2);
 }
@@ -69,7 +68,6 @@ fn main() {
         "e8-compare" => experiments::e8_compare(quick),
         "e9-reclamation" => experiments::e9_reclamation(quick),
         "e10-store" => experiments::e10_store(quick),
-        "e11-backends" => experiments::e11_backends(quick),
         "ablations" => experiments::ablations(quick),
         "e12-model" => experiments::e12_model(quick),
         "e14-lint" => experiments::e14_lint(quick),

@@ -17,7 +17,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mwllsc::sync::Ordering;
-use mwllsc::{MwFactory, PaperBackend};
 
 use crate::link::{CallerLink, Waiter};
 use crate::mesh::Mesh;
@@ -29,8 +28,8 @@ const PARK_TIMEOUT: Duration = Duration::from_micros(100);
 
 /// A caller's connection to a [`Mesh`]: one ring pair per worker plus
 /// the scratch to scatter/gather batches. See the module docs.
-pub struct MeshHandle<B: MwFactory = PaperBackend> {
-    mesh: Arc<Mesh<B>>,
+pub struct MeshHandle {
+    mesh: Arc<Mesh>,
     links: Box<[CallerLink]>,
     waiter: Arc<Waiter>,
     /// Per-entry owner worker, filled by validation.
@@ -41,8 +40,8 @@ pub struct MeshHandle<B: MwFactory = PaperBackend> {
     woke: Vec<bool>,
 }
 
-impl<B: MwFactory> MeshHandle<B> {
-    pub(crate) fn new(mesh: Arc<Mesh<B>>, links: Box<[CallerLink]>, waiter: Arc<Waiter>) -> Self {
+impl MeshHandle {
+    pub(crate) fn new(mesh: Arc<Mesh>, links: Box<[CallerLink]>, waiter: Arc<Waiter>) -> Self {
         let workers = links.len();
         Self {
             mesh,
@@ -68,7 +67,7 @@ impl<B: MwFactory> MeshHandle<B> {
 
     /// The mesh this handle talks to.
     #[must_use]
-    pub fn mesh(&self) -> &Arc<Mesh<B>> {
+    pub fn mesh(&self) -> &Arc<Mesh> {
         &self.mesh
     }
 
@@ -308,7 +307,7 @@ impl<B: MwFactory> MeshHandle<B> {
     }
 }
 
-impl<B: MwFactory> Drop for MeshHandle<B> {
+impl Drop for MeshHandle {
     fn drop(&mut self) {
         for link in self.links.iter() {
             link.shared.dropped.store(true, Ordering::Release);

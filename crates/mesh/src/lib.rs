@@ -16,14 +16,14 @@
 //!     ▲                     │ one StoreHandle,          ▲
 //!     └──────reply ring─────┤ shards {0, N, 2N, …}      │
 //!                           ▼                           │
-//!                    Store<B> shards ──reply ring───────┘
+//!                       Store shards ──reply ring───────┘
 //! ```
 //!
 //! - [`ring`]: the cache-padded SPSC ring (facade atomics, `RINGH`/
 //!   `RINGT` ordering cells, allocation-free hot path).
 //! - [`Mesh`]: owns the workers, partitions shards by the store's FNV
 //!   router (`shard % workers`), drains inbound rings in waves, and
-//!   dispatches through the store's `update_many_dyn`/`read_many_into`
+//!   dispatches through the store's `update_many_with`/`read_many_into`
 //!   batch primitives — cross-caller coalescing falls out for free.
 //! - [`MeshHandle`]: the caller surface — the same typed-error
 //!   get/set/update/read_many shape as `StoreHandle`, with declarative

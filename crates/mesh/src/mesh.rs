@@ -6,14 +6,13 @@
 //! [`StoreHandle`](mwllsc_store::StoreHandle), pre-leased on all of its
 //! shards at construction, and serves remote operations drained from its
 //! inbound rings in waves — so the store's batched
-//! `update_many_dyn`/`read_many_into` coalescing falls out for free, and
+//! `update_many_with`/`read_many_into` coalescing falls out for free, and
 //! no two threads ever RMW the same shard's cells through the mesh.
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use mwllsc::sync::{AtomicBool, AtomicU64, Ordering};
-use mwllsc::{MwFactory, PaperBackend};
 use mwllsc_store::{Store, StoreHandle};
 
 use crate::link::{CallerLink, LinkShared, Waiter, WorkerLink};
@@ -140,8 +139,8 @@ impl WorkerShared {
 /// Thread-per-core shared-nothing ownership over a [`Store`]: shards are
 /// pinned to workers, remote ops travel over SPSC rings, and callers talk
 /// through [`MeshHandle`]s (see the crate docs for the full picture).
-pub struct Mesh<B: MwFactory = PaperBackend> {
-    pub(crate) store: Arc<Store<B>>,
+pub struct Mesh {
+    pub(crate) store: Arc<Store>,
     pub(crate) workers: Box<[Arc<WorkerShared>]>,
     pub(crate) ring_capacity: usize,
     pub(crate) stop: Arc<AtomicBool>,
@@ -151,14 +150,14 @@ pub struct Mesh<B: MwFactory = PaperBackend> {
     joins: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl<B: MwFactory> Mesh<B> {
+impl Mesh {
     /// Builds a mesh over `store` and starts its workers.
     ///
     /// Fails with a typed error if the store's width exceeds
     /// [`MAX_INLINE_WIDTH`], if `cfg.workers` is zero, or if a worker
     /// cannot pre-lease a slot on one of its shards
     /// ([`MeshError::ShardExhausted`] now, instead of mid-traffic).
-    pub fn try_new(store: Arc<Store<B>>, cfg: MeshConfig) -> Result<Arc<Self>, MeshError> {
+    pub fn try_new(store: Arc<Store>, cfg: MeshConfig) -> Result<Arc<Self>, MeshError> {
         let width = store.width();
         if width > MAX_INLINE_WIDTH {
             return Err(MeshError::WidthTooWide { width, max: MAX_INLINE_WIDTH });
@@ -171,7 +170,7 @@ impl<B: MwFactory> Mesh<B> {
 
         // Pre-lease each worker's shards before any thread starts, so
         // exhaustion is a construction error and startup is all-or-nothing.
-        let mut handles: Vec<StoreHandle<B>> = Vec::with_capacity(n);
+        let mut handles: Vec<StoreHandle> = Vec::with_capacity(n);
         for i in 0..n {
             let mut h = store.attach();
             let mut s = i;
@@ -196,7 +195,7 @@ impl<B: MwFactory> Mesh<B> {
             };
             let spawned = std::thread::Builder::new()
                 .name(format!("mwllsc-mesh-{i}"))
-                .spawn(move || worker::run(Box::new(h), shared, worker_stop, knobs));
+                .spawn(move || worker::run(h, shared, worker_stop, knobs));
             match spawned {
                 Ok(j) => joins.push(j),
                 Err(_) => {
@@ -225,7 +224,7 @@ impl<B: MwFactory> Mesh<B> {
 
     /// Builds a mesh with [`MeshConfig::default`] except for the worker
     /// count.
-    pub fn with_workers(store: Arc<Store<B>>, workers: usize) -> Result<Arc<Self>, MeshError> {
+    pub fn with_workers(store: Arc<Store>, workers: usize) -> Result<Arc<Self>, MeshError> {
         Self::try_new(store, MeshConfig::default().with_workers(workers))
     }
 
@@ -234,7 +233,7 @@ impl<B: MwFactory> Mesh<B> {
     ///
     /// A handle created after [`Mesh::shutdown`] is valid but
     /// disconnected: every op returns [`MeshError::Disconnected`].
-    pub fn attach(self: &Arc<Self>) -> MeshHandle<B> {
+    pub fn attach(self: &Arc<Self>) -> MeshHandle {
         let waiter = Arc::new(Waiter::new());
         let stopped = self.stop.load(Ordering::Acquire);
         let mut links = Vec::with_capacity(self.workers.len());
@@ -280,7 +279,7 @@ impl<B: MwFactory> Mesh<B> {
 
     /// The underlying store.
     #[must_use]
-    pub fn store(&self) -> &Arc<Store<B>> {
+    pub fn store(&self) -> &Arc<Store> {
         &self.store
     }
 
@@ -331,7 +330,7 @@ impl<B: MwFactory> Mesh<B> {
     }
 }
 
-impl<B: MwFactory> Drop for Mesh<B> {
+impl Drop for Mesh {
     fn drop(&mut self) {
         self.shutdown();
     }

@@ -5,7 +5,7 @@
 //! expands them into flat key/op arrays (validating key range and
 //! operand width as it goes — invalid entries turn into immediate error
 //! replies and never reach the store), then commits all writes with one
-//! `update_many_dyn` call and all reads with one `read_many_into` call.
+//! `update_many_with` call and all reads with one `read_many_into` call.
 //! The store sorts each batch by `(shard, key)` and folds equal-key runs
 //! into single LL/SC commits, so cross-caller coalescing needs no code
 //! here.
@@ -20,7 +20,7 @@ use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 use mwllsc::sync::Ordering;
-use mwllsc_store::DynStoreHandle;
+use mwllsc_store::StoreHandle;
 
 use crate::link::WorkerLink;
 use crate::mesh::{occ_bucket, WorkerShared};
@@ -79,7 +79,7 @@ impl Scratch {
 /// `StoreHandle` that ever touches this worker's shards through the
 /// mesh; dropping it on exit releases the pre-leased slots.
 pub(crate) fn run(
-    mut handle: Box<dyn DynStoreHandle>,
+    mut handle: StoreHandle,
     shared: Arc<WorkerShared>,
     stop: Arc<mwllsc::sync::AtomicBool>,
     knobs: Knobs,
@@ -122,7 +122,7 @@ pub(crate) fn run(
         // Dispatch phase: one batched store call per class.
         let entries = sc.write_keys.len() + sc.read_keys.len();
         if entries > 0 {
-            dispatch(&mut *handle, &mut sc, knobs.width);
+            dispatch(&mut handle, &mut sc, knobs.width);
             shared.stats.waves.fetch_add(1, Ordering::Relaxed);
             shared.stats.entries.fetch_add(entries as u64, Ordering::Relaxed);
         }
@@ -238,7 +238,7 @@ fn push_write(
 /// Commits the wave through the store: writes first (each entry's reply
 /// carries the *installed* value), then reads. A store error fails every
 /// entry of its class — the store's batch paths are all-or-nothing.
-fn dispatch(handle: &mut dyn DynStoreHandle, sc: &mut Scratch, w: usize) {
+fn dispatch(handle: &mut StoreHandle, sc: &mut Scratch, w: usize) {
     let Scratch {
         write_keys,
         write_kinds,
@@ -255,7 +255,7 @@ fn dispatch(handle: &mut dyn DynStoreHandle, sc: &mut Scratch, w: usize) {
     if !write_keys.is_empty() {
         write_snaps.clear();
         write_snaps.resize(write_keys.len() * w, 0);
-        let res = handle.update_many_dyn(write_keys, &mut |i, buf| {
+        let res = handle.update_many_with(write_keys, |i, buf| {
             // i < write_keys.len() (batch contract), so the parallel
             // arrays and the i-th W-word snap window are in bounds.
             write_kinds[i].apply(&write_operands[i], buf);

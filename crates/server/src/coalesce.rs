@@ -24,15 +24,15 @@
 //! external lease pressure) are the only batch-wide errors.
 
 use mwllsc::sync::Ordering;
-use mwllsc_mesh::{InlineVal, UpdateKind};
-use mwllsc_store::DynStoreHandle;
+use mwllsc_mesh::{InlineVal, MeshHandle, UpdateKind};
+use mwllsc_store::StoreHandle;
 
 use crate::conn::{Conn, Pending};
 use crate::proto::{
     encode_response, encode_value_response, encode_values_response, FrameError, Request, Response,
     UpdateOp, WireError,
 };
-use crate::route::{wire_of_mesh, MeshRoute, Route};
+use crate::route::{wire_of_mesh, Route};
 use crate::stats::AtomicStats;
 
 /// How a wave reaches the store.
@@ -234,22 +234,8 @@ impl Wave {
         }
     }
 
-    /// Runs the wave's batches against the store. Writes dispatch before
-    /// reads, so a wave's reads observe its writes.
-    pub(crate) fn dispatch(
-        &mut self,
-        handle: &mut dyn DynStoreHandle,
-        mode: Dispatch,
-        stats: &AtomicStats,
-    ) {
-        stats.waves.fetch_add(1, Ordering::Relaxed);
-        match mode {
-            Dispatch::Coalesced => self.dispatch_coalesced(handle, stats),
-            Dispatch::PerRequest => self.dispatch_per_request(handle, stats),
-        }
-    }
-
-    /// [`dispatch`](Self::dispatch) over either route: the store side
+    /// Runs the wave's batches over the worker's route. Writes dispatch
+    /// before reads, so a wave's reads observe its writes. The store side
     /// commits through the handle's closure-based batch primitives, the
     /// mesh side through the ring-crossing declarative ones.
     ///
@@ -257,26 +243,18 @@ impl Wave {
     /// store batch errors do. The validator already screened keys and
     /// widths, so what remains is mesh shutdown — where over-reporting
     /// `Internal` on a dying connection set is the honest answer.
-    pub(crate) fn dispatch_route(
-        &mut self,
-        route: &mut Route,
-        mode: Dispatch,
-        stats: &AtomicStats,
-    ) {
-        match route {
-            Route::Store(h) => self.dispatch(&mut **h, mode, stats),
-            Route::Mesh(m) => {
-                stats.waves.fetch_add(1, Ordering::Relaxed);
-                match mode {
-                    Dispatch::Coalesced => self.dispatch_mesh_coalesced(&mut **m, stats),
-                    Dispatch::PerRequest => self.dispatch_mesh_per_request(&mut **m, stats),
-                }
-            }
+    pub(crate) fn dispatch(&mut self, route: &mut Route, mode: Dispatch, stats: &AtomicStats) {
+        stats.waves.fetch_add(1, Ordering::Relaxed);
+        match (route, mode) {
+            (Route::Store(h), Dispatch::Coalesced) => self.dispatch_coalesced(h, stats),
+            (Route::Store(h), Dispatch::PerRequest) => self.dispatch_per_request(h, stats),
+            (Route::Mesh(m), Dispatch::Coalesced) => self.dispatch_mesh_coalesced(m, stats),
+            (Route::Mesh(m), Dispatch::PerRequest) => self.dispatch_mesh_per_request(m, stats),
         }
     }
 
     // lint: no-alloc
-    fn dispatch_mesh_coalesced(&mut self, m: &mut dyn MeshRoute, stats: &AtomicStats) {
+    fn dispatch_mesh_coalesced(&mut self, m: &mut MeshHandle, stats: &AtomicStats) {
         let w = m.width();
         if !self.write_keys.is_empty() {
             // Sizing the flat result buffers is the wave's only growth
@@ -314,7 +292,7 @@ impl Wave {
     }
 
     // lint: no-alloc
-    fn dispatch_mesh_per_request(&mut self, m: &mut dyn MeshRoute, stats: &AtomicStats) {
+    fn dispatch_mesh_per_request(&mut self, m: &mut MeshHandle, stats: &AtomicStats) {
         let w = m.width();
         self.write_snaps.resize(self.write_keys.len() * w, 0);
         self.read_vals.resize(self.read_keys.len() * w, 0);
@@ -356,14 +334,14 @@ impl Wave {
     }
 
     // lint: no-alloc
-    fn dispatch_coalesced(&mut self, handle: &mut dyn DynStoreHandle, stats: &AtomicStats) {
-        let w = handle.width();
+    fn dispatch_coalesced(&mut self, handle: &mut StoreHandle, stats: &AtomicStats) {
+        let w = handle.store().width();
         if !self.write_keys.is_empty() {
             // Sizing the flat result buffers is the wave's only growth;
             // the store closures below must stay allocation-free.
             self.write_snaps.resize(self.write_keys.len() * w, 0);
             let (ops, snaps) = (&self.write_ops, &mut self.write_snaps);
-            let r = handle.update_many_dyn(&self.write_keys, &mut |i, buf| {
+            let r = handle.update_many_with(&self.write_keys, |i, buf| {
                 apply_op(&ops[i], buf); // `i` enumerates write_keys; ops is parallel to it
                 snaps[i * w..(i + 1) * w].copy_from_slice(buf); // snaps sized keys × w above
             });
@@ -393,8 +371,8 @@ impl Wave {
     }
 
     // lint: no-alloc
-    fn dispatch_per_request(&mut self, handle: &mut dyn DynStoreHandle, stats: &AtomicStats) {
-        let w = handle.width();
+    fn dispatch_per_request(&mut self, handle: &mut StoreHandle, stats: &AtomicStats) {
+        let w = handle.store().width();
         self.write_snaps.resize(self.write_keys.len() * w, 0);
         self.read_vals.resize(self.read_keys.len() * w, 0);
         for (si, (_, slot)) in self.slots.iter().enumerate() {
@@ -404,7 +382,7 @@ impl Wave {
                 Slot::Write { first, count, .. } => {
                     let keys = &self.write_keys[first..first + count]; // staged by admit
                     let (ops, snaps) = (&self.write_ops, &mut self.write_snaps);
-                    let r = handle.update_many_dyn(keys, &mut |i, buf| {
+                    let r = handle.update_many_with(keys, |i, buf| {
                         apply_op(&ops[first + i], buf); // `i` enumerates keys; ops is parallel
                         snaps[(first + i) * w..(first + i + 1) * w].copy_from_slice(buf);
                         // sized above

@@ -32,7 +32,7 @@
 //!   many connections costs one LL/SC commit per wave, not one per
 //!   request.
 //! - **Workers** (`worker`): each owns one
-//!   [`DynStoreHandle`](mwllsc_store::DynStoreHandle) (one shard-slot
+//!   [`StoreHandle`](mwllsc_store::StoreHandle) (one shard-slot
 //!   lease per touched shard), ticking wait → read the ready
 //!   connections → coalesce → dispatch → one flush per connection, with
 //!   slow-reader backpressure and a graceful drain on shutdown.
@@ -44,14 +44,12 @@
 //! its leading same-class run to each wave, and a wave's writes dispatch
 //! before its reads). Across connections, requests race exactly as
 //! concurrent store handles do — each individual request is atomic,
-//! with the backend's per-object progress guarantee.
+//! with the paper object's wait-free LL and SC inside it.
 //!
-//! The server is generic over the store backend: start it from a typed
-//! [`Store<B>`](mwllsc_store::Store) with [`Server::start`], from a
-//! runtime-selected backend with [`Server::start_dyn`], or over a
-//! shared-nothing [`Mesh`] with [`Server::start_mesh`]
-//! (workers forward decoded frames to owning shards over SPSC rings
-//! instead of committing on their own threads).
+//! Start the server over a [`Store`] with [`Server::start`], or over a
+//! shared-nothing [`Mesh`] with [`Server::start_mesh`] (workers forward
+//! decoded frames to owning shards over SPSC rings instead of committing
+//! on their own threads).
 //!
 //! # Example
 //!
@@ -97,9 +95,8 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mwllsc::MwFactory;
 use mwllsc_mesh::Mesh;
-use mwllsc_store::{DynStore, Store};
+use mwllsc_store::Store;
 
 pub use client::Client;
 pub use coalesce::Dispatch;
@@ -185,21 +182,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts a server over a typed store.
-    pub fn start<B: MwFactory>(
-        store: &Arc<Store<B>>,
-        config: ServerConfig,
-    ) -> std::io::Result<Self> {
-        Self::start_dyn(Arc::new(Arc::clone(store)), config)
-    }
-
-    /// Starts a server over a runtime-selected backend (see
-    /// [`DynStore`]; `llsc_baselines::try_build_store` maps algorithm
-    /// names to boxed stores).
-    pub fn start_dyn(store: Arc<dyn DynStore>, config: ServerConfig) -> std::io::Result<Self> {
+    /// Starts a server over a store: each worker commits through its own
+    /// [`StoreHandle`](mwllsc_store::StoreHandle).
+    pub fn start(store: &Arc<Store>, config: ServerConfig) -> std::io::Result<Self> {
         let n_workers = config.workers.clamp(1, store.shard_capacity());
         let validator = Validator { key_capacity: store.key_capacity(), width: store.width() };
-        let routes = (0..n_workers).map(|_| route::Route::Store(store.attach_dyn())).collect();
+        let routes = (0..n_workers).map(|_| route::Route::Store(store.attach())).collect();
         Self::start_routes(routes, validator, config)
     }
 
@@ -208,17 +196,14 @@ impl Server {
     /// workers that own the touched shards, instead of leasing shard
     /// slots and committing on its own thread.
     ///
-    /// Unlike [`start_dyn`](Self::start_dyn), `config.workers` is *not*
+    /// Unlike [`start`](Self::start), `config.workers` is *not*
     /// clamped by the store's `shard_capacity` — mesh caller links
     /// consume no shard-slot leases (those live in the mesh's worker
     /// threads), so any number of frontend workers can serve one mesh.
-    pub fn start_mesh<B: MwFactory>(
-        mesh: &Arc<Mesh<B>>,
-        config: ServerConfig,
-    ) -> std::io::Result<Self> {
+    pub fn start_mesh(mesh: &Arc<Mesh>, config: ServerConfig) -> std::io::Result<Self> {
         let n_workers = config.workers.max(1);
         let validator = Validator { key_capacity: mesh.key_capacity(), width: mesh.width() };
-        let routes = (0..n_workers).map(|_| route::Route::Mesh(Box::new(mesh.attach()))).collect();
+        let routes = (0..n_workers).map(|_| route::Route::Mesh(mesh.attach())).collect();
         Self::start_routes(routes, validator, config)
     }
 

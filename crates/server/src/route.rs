@@ -1,68 +1,27 @@
 //! Dispatch routes: where a worker's waves commit.
 //!
 //! A server worker either owns a symmetric
-//! [`DynStoreHandle`](mwllsc_store::DynStoreHandle) (the classic mode —
-//! the handle leases a slot on every shard it touches and RMWs shared
-//! cache lines directly) or a mesh route (`dispatch = mesh` — decoded
+//! [`StoreHandle`](mwllsc_store::StoreHandle) (the classic mode — the
+//! handle leases a slot on every shard it touches and RMWs shared cache
+//! lines directly) or a [`MeshHandle`] (`Server::start_mesh` — decoded
 //! frames are forwarded as fixed-size messages over SPSC rings to the
 //! mesh worker that owns each shard, and only the owning thread ever
-//! touches a shard's lines). [`Route`] erases the difference so the
-//! worker loop and the wave dispatcher stay mode-agnostic.
+//! touches a shard's lines). [`Route`] covers both, so the worker loop
+//! and the wave dispatcher stay mode-agnostic.
 
-use mwllsc::MwFactory;
-use mwllsc_mesh::{InlineVal, MeshError, MeshHandle, UpdateKind};
-use mwllsc_store::DynStoreHandle;
+use mwllsc_mesh::{MeshError, MeshHandle};
+use mwllsc_store::StoreHandle;
 
 use crate::proto::WireError;
 
-/// The type-erased mesh-handle surface the dispatch path needs — the
-/// batch subset of [`MeshHandle`], object-safe so one enum covers every
-/// backend factory.
-pub(crate) trait MeshRoute: Send {
-    /// Words per value.
-    fn width(&self) -> usize;
-
-    /// Applies `op(i)` to each `keys[i]` at its owning worker; `snaps`
-    /// (when given, sized `keys.len() * width`) receives each
-    /// post-update value.
-    fn update_batch(
-        &mut self,
-        keys: &[u64],
-        op: &mut dyn FnMut(usize) -> (UpdateKind, InlineVal),
-        snaps: Option<&mut [u64]>,
-    ) -> Result<(), MeshError>;
-
-    /// Reads each key's value into `out` (sized `keys.len() * width`).
-    fn read_many_into(&mut self, keys: &[u64], out: &mut [u64]) -> Result<(), MeshError>;
-}
-
-impl<B: MwFactory> MeshRoute for MeshHandle<B> {
-    fn width(&self) -> usize {
-        MeshHandle::width(self)
-    }
-
-    fn update_batch(
-        &mut self,
-        keys: &[u64],
-        op: &mut dyn FnMut(usize) -> (UpdateKind, InlineVal),
-        snaps: Option<&mut [u64]>,
-    ) -> Result<(), MeshError> {
-        MeshHandle::update_batch(self, keys, op, snaps)
-    }
-
-    fn read_many_into(&mut self, keys: &[u64], out: &mut [u64]) -> Result<(), MeshError> {
-        MeshHandle::read_many_into(self, keys, out)
-    }
-}
-
-/// One worker's committing backend. Dropping it releases whatever the
+/// One worker's commit path. Dropping it releases whatever the
 /// mode holds: the store route's shard-slot leases, or the mesh route's
 /// caller links (waking the mesh workers so they retire the rings).
 pub(crate) enum Route {
     /// Symmetric: commit through a store handle on this thread.
-    Store(Box<dyn DynStoreHandle>),
+    Store(StoreHandle),
     /// Shared-nothing: forward to owning mesh workers over rings.
-    Mesh(Box<dyn MeshRoute>),
+    Mesh(MeshHandle),
 }
 
 /// Maps a mesh error onto the wire vocabulary. The validator screens

@@ -10,7 +10,7 @@
 //! ready, and a busy one never sleeps at all.
 //!
 //! A store route holds exactly one
-//! [`DynStoreHandle`](mwllsc_store::DynStoreHandle), so a server with
+//! [`StoreHandle`](mwllsc_store::StoreHandle), so a server with
 //! `N` workers consumes at most one slot lease per shard per worker —
 //! the store's `shard_capacity` bounds how many workers (plus external
 //! handles) can serve a store, and the lease is what lets every per-key
@@ -113,7 +113,7 @@ pub(crate) fn run(
         // this tick produced.
         let out_cap = if stopping { usize::MAX } else { cfg.max_conn_out_bytes };
         while let Some(mut wave) = Wave::build(&mut conns, &validator, cfg.max_wave_run, out_cap) {
-            wave.dispatch_route(&mut route, cfg.dispatch, stats);
+            wave.dispatch(&mut route, cfg.dispatch, stats);
             wave.scatter(&mut conns, stats);
             for conn in conns.iter_mut().filter(|c| c.out_queued() > out_cap) {
                 conn.flush();

@@ -1,12 +1,10 @@
 //! End-to-end server tests over real loopback sockets: pipelined FIFO
 //! ordering, coalescing correctness under concurrent clients, typed
-//! error replies, framing-failure containment, runtime backend
-//! selection, and the graceful-shutdown lease guarantee.
+//! error replies, framing-failure containment, the graceful-shutdown
+//! lease guarantee, and the mesh-routed server.
 
 use std::sync::Arc;
 
-use llsc_baselines::{try_build_store, Algo};
-use mwllsc::EpochBackend;
 use mwllsc_server::proto::FrameError;
 use mwllsc_server::{
     Client, Dispatch, Request, Response, Server, ServerConfig, UpdateOp, WireError,
@@ -194,27 +192,11 @@ fn framing_garbage_is_answered_then_closed_without_collateral() {
     assert_eq!(stats.bad_frames, 1);
 }
 
-/// Runtime backend selection: the same client code runs against stores
-/// built by algorithm name.
-#[test]
-fn dyn_store_serves_multiple_backends() {
-    for algo in [Algo::Jp, Algo::Lock, Algo::SeqLock] {
-        let store: Arc<dyn mwllsc_store::DynStore> =
-            Arc::from(try_build_store(algo, StoreConfig::new(4, 2, 1, 1 << 12)).unwrap());
-        let server = Server::start_dyn(Arc::clone(&store), ServerConfig::default()).unwrap();
-        let mut c = Client::connect(server.local_addr()).unwrap();
-        assert_eq!(c.update(9, UpdateOp::Add(vec![41])).unwrap().unwrap(), vec![41], "{algo:?}");
-        assert_eq!(c.update(9, UpdateOp::Max(vec![7])).unwrap().unwrap(), vec![41], "{algo:?}");
-        server.shutdown();
-        assert_eq!(store.live_slot_leases(), 0, "{algo:?}: leases released");
-    }
-}
-
 /// The satellite guarantee: shutdown drains in-flight pipelines, leaks
 /// no registry slots, and leaves the store fully reusable.
 #[test]
 fn shutdown_drains_releases_leases_and_store_remains_usable() {
-    let store = Store::<EpochBackend>::new_in(StoreConfig::new(4, 2, 1, 1 << 12));
+    let store = Store::new(StoreConfig::new(4, 2, 1, 1 << 12));
     let server = Server::start(&store, ServerConfig::with_workers(2)).unwrap();
     let mut c = Client::connect(server.local_addr()).unwrap();
     for k in 0..32 {

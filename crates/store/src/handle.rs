@@ -6,21 +6,14 @@
 //! all). The lease is the concurrency contract that makes per-key access
 //! cheap: holding shard slot `p` exclusively means *no other handle* ever
 //! uses process id `p` in that shard, so each operation borrows slot `p`
-//! of the key's object ([`MwFactory::borrow_slot`]). For the paper
-//! backends that borrow is one load of the slot's parked `mybuf` and one
-//! store back — no lease read-modify-write, no reference count — and the
-//! key table finds the object with two `Acquire` loads, so an operation
+//! of the key's object ([`MwLlSc::borrow_slot`](mwllsc::MwLlSc::borrow_slot)).
+//! That borrow is one load of the slot's parked `mybuf` and one store
+//! back — no lease read-modify-write, no reference count — and the key
+//! table finds the object with two `Acquire` loads, so an operation
 //! touches little besides the key's own paper object.
-//!
-//! The handle is generic over the store's backend `B`
-//! ([`MwFactory`]): every operation drives the borrowed slot through the
-//! [`MwHandle`] capability trait, so the same code path serves the paper
-//! algorithm, the substrate ablations, and the baselines.
 
 use mwllsc::sync::Ordering;
 use std::sync::Arc;
-
-use mwllsc::{MwFactory, MwHandle, PaperBackend};
 
 use crate::store::{Shard, Store, StoreError};
 
@@ -44,8 +37,8 @@ use crate::store::{Shard, Store, StoreError};
 /// assert_eq!(h.read_vec(42).unwrap(), vec![3]);
 /// assert_eq!(h.read_vec(43).unwrap(), vec![0], "untouched keys read the initial value");
 /// ```
-pub struct StoreHandle<B: MwFactory = PaperBackend> {
-    store: Arc<Store<B>>,
+pub struct StoreHandle {
+    store: Arc<Store>,
     /// Per-shard leased slot id; `None` until the shard is first touched.
     slots: Box<[Option<u32>]>,
     /// Batch scratch, reused across calls so a warmed-up batch path
@@ -55,10 +48,9 @@ pub struct StoreHandle<B: MwFactory = PaperBackend> {
     buf: Vec<u64>,
 }
 
-impl<B: MwFactory> std::fmt::Debug for StoreHandle<B> {
+impl std::fmt::Debug for StoreHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreHandle")
-            .field("backend", &B::NAME)
             .field("shards", &self.slots.len())
             .field("leased", &self.slots.iter().filter(|s| s.is_some()).count())
             .finish()
@@ -76,8 +68,8 @@ struct Entry {
     key: u64,
 }
 
-impl<B: MwFactory> StoreHandle<B> {
-    pub(crate) fn new(store: Arc<Store<B>>) -> Self {
+impl StoreHandle {
+    pub(crate) fn new(store: Arc<Store>) -> Self {
         let shards = store.shards();
         let buf = vec![0; store.width()];
         Self { store, slots: vec![None; shards].into_boxed_slice(), order: Vec::new(), buf }
@@ -85,7 +77,7 @@ impl<B: MwFactory> StoreHandle<B> {
 
     /// The store this handle operates on.
     #[must_use]
-    pub fn store(&self) -> &Arc<Store<B>> {
+    pub fn store(&self) -> &Arc<Store> {
         &self.store
     }
 
@@ -118,14 +110,13 @@ impl<B: MwFactory> StoreHandle<B> {
 
     /// Reads the current value of `key` into `out`.
     ///
-    /// One `O(W)` read on the key's object (wait-free for the paper
-    /// backends; the backend's own read guarantee otherwise).
+    /// One wait-free `O(W)` read on the key's object.
     pub fn read(&mut self, key: u64, out: &mut [u64]) -> Result<(), StoreError> {
         if out.len() != self.store.width() {
             return Err(StoreError::WrongValueLen { expected: self.store.width(), got: out.len() });
         }
         let (si, p) = self.route_slot(key)?;
-        B::borrow_slot(self.store.object(key), p).read(out);
+        self.store.object(key).borrow_slot(p).read(out);
         self.store.shard(si).reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -144,9 +135,9 @@ impl<B: MwFactory> StoreHandle<B> {
     /// This is the allocation-free update path: `out` is the working
     /// buffer for every LL/SC round (callers on hot loops reuse one).
     /// `f` may run multiple times (once per round) and must be a pure
-    /// function of its input slice. For the paper backends every LL and
-    /// SC inside the loop is wait-free `O(W)`; the loop itself is
-    /// lock-free under per-key contention, like any LL/SC retry loop.
+    /// function of its input slice. Every LL and SC inside the loop is
+    /// wait-free `O(W)`; the loop itself is lock-free under per-key
+    /// contention, like any LL/SC retry loop.
     // lint: no-alloc
     pub fn update_with(
         &mut self,
@@ -159,7 +150,7 @@ impl<B: MwFactory> StoreHandle<B> {
         }
         let (si, p) = self.route_slot(key)?;
         let store = &*self.store;
-        let mut h = B::borrow_slot(store.object(key), p);
+        let mut h = store.object(key).borrow_slot(p);
         loop {
             h.ll(out);
             f(out);
@@ -217,16 +208,15 @@ impl<B: MwFactory> StoreHandle<B> {
         self.batch_prepass(keys)?;
 
         let store = &*self.store;
-        let mut counters = CounterRun::new();
+        let mut counters = CounterRun::new(store, bump_reads);
         for run in self.order.chunk_by(|a, b| a.key == b.key) {
             let e = run[0]; // chunk_by never yields an empty run
-            let mut h = B::borrow_slot(store.object(e.key), e.p);
+            let mut h = store.object(e.key).borrow_slot(e.p);
             for d in run {
                 h.read(&mut out[d.i * w..(d.i + 1) * w]); // d.i < keys.len(): out is keys × w
             }
-            counters.count(store, e.si, run.len() as u64, 0, bump_reads);
+            counters.count(e.si, run.len() as u64, 0);
         }
-        counters.flush(store, bump_reads);
         Ok(())
     }
 
@@ -316,8 +306,9 @@ impl<B: MwFactory> StoreHandle<B> {
     /// `(shard, key, index)`, leases every needed shard slot, then commits
     /// `apply(i, buf)` for each run of equal keys with one LL/SC loop on
     /// one borrowed object slot, flushing the per-shard counters once per
-    /// shard run.
-    pub(crate) fn batch_update(
+    /// shard run. If `apply` panics, the runs already committed are still
+    /// counted: the counter run flushes when the unwind drops it.
+    fn batch_update(
         &mut self,
         keys: &[u64],
         apply: &mut dyn FnMut(usize, &mut [u64]),
@@ -325,10 +316,10 @@ impl<B: MwFactory> StoreHandle<B> {
         self.batch_prepass(keys)?;
 
         let Self { store, order, buf, .. } = self;
-        let mut counters = CounterRun::new();
+        let mut counters = CounterRun::new(store, bump_updates);
         for run in order.chunk_by(|a, b| a.key == b.key) {
             let e = run[0]; // chunk_by never yields an empty run
-            let mut h = B::borrow_slot(store.object(e.key), e.p);
+            let mut h = store.object(e.key).borrow_slot(e.p);
             let mut retries = 0;
             // The whole run of entries for this key is applied inside ONE
             // LL/SC commit — several logical updates per SC.
@@ -342,9 +333,8 @@ impl<B: MwFactory> StoreHandle<B> {
                 }
                 retries += 1;
             }
-            counters.count(store, e.si, run.len() as u64, retries, bump_updates);
+            counters.count(e.si, run.len() as u64, retries);
         }
-        counters.flush(store, bump_updates);
         Ok(())
     }
 
@@ -373,11 +363,7 @@ impl<B: MwFactory> StoreHandle<B> {
 
 /// The handle's process id within shard `si` (`slots` is its per-shard
 /// lease table), leasing one on first touch.
-fn slot_for<B: MwFactory>(
-    store: &Store<B>,
-    slots: &mut [Option<u32>],
-    si: usize,
-) -> Result<usize, StoreError> {
+fn slot_for(store: &Store, slots: &mut [Option<u32>], si: usize) -> Result<usize, StoreError> {
     // si < shard count == slots.len(): validated by the caller's key check
     if let Some(p) = slots[si] {
         return Ok(p as usize);
@@ -409,32 +395,29 @@ fn bump_updates(shard: &Shard, ops: u64, retries: u64) {
 
 /// Accumulates per-shard `(ops, retries)` counter deltas across a sorted
 /// batch and applies them once per shard run, instead of once per key.
-/// Which shard counters the totals land in is entirely the caller's
-/// `apply` closure — the accumulator cannot misattribute a read-path
-/// delta to a write-path counter.
-struct CounterRun {
+/// Which shard counters the totals land in is entirely the `apply`
+/// function — the accumulator cannot misattribute a read-path delta to a
+/// write-path counter. Dropping the run applies what is pending, so a
+/// batch cut short by a panicking closure still counts every commit it
+/// made.
+struct CounterRun<'a, F: Fn(&Shard, u64, u64)> {
+    store: &'a Store,
+    apply: F,
     shard: Option<usize>,
     ops: u64,
     retries: u64,
 }
 
-impl CounterRun {
-    fn new() -> Self {
-        Self { shard: None, ops: 0, retries: 0 }
+impl<'a, F: Fn(&Shard, u64, u64)> CounterRun<'a, F> {
+    fn new(store: &'a Store, apply: F) -> Self {
+        Self { store, apply, shard: None, ops: 0, retries: 0 }
     }
 
     /// Adds a delta for shard `si`, first applying the previous run's
     /// totals when the shard changes.
-    fn count<B: MwFactory>(
-        &mut self,
-        store: &Store<B>,
-        si: usize,
-        ops: u64,
-        retries: u64,
-        apply: impl Fn(&Shard, u64, u64),
-    ) {
+    fn count(&mut self, si: usize, ops: u64, retries: u64) {
         if self.shard != Some(si) {
-            self.flush(store, apply);
+            self.flush();
             self.shard = Some(si);
         }
         self.ops += ops;
@@ -442,10 +425,10 @@ impl CounterRun {
     }
 
     /// Applies the current run's `(ops, retries)` totals and resets.
-    fn flush<B: MwFactory>(&mut self, store: &Store<B>, apply: impl Fn(&Shard, u64, u64)) {
+    fn flush(&mut self) {
         if let Some(si) = self.shard.take() {
             if self.ops > 0 || self.retries > 0 {
-                apply(store.shard(si), self.ops, self.retries);
+                (self.apply)(self.store.shard(si), self.ops, self.retries);
             }
         }
         self.ops = 0;
@@ -453,7 +436,13 @@ impl CounterRun {
     }
 }
 
-impl<B: MwFactory> Drop for StoreHandle<B> {
+impl<F: Fn(&Shard, u64, u64)> Drop for CounterRun<'_, F> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+impl Drop for StoreHandle {
     /// Releases every leased shard slot (the payload is the slot's own id,
     /// mirroring [`SlotRegistry::new`](mwllsc::SlotRegistry::new)'s
     /// convention).
@@ -714,5 +703,38 @@ mod tests {
         .unwrap();
         assert_eq!(h.read_vec(1).unwrap(), vec![5, 6]);
         assert_eq!(h.read_vec(2).unwrap(), vec![3, 4]);
+    }
+
+    #[test]
+    fn a_panicking_batch_closure_keeps_the_committed_prefix_counted() {
+        let store = Store::new(StoreConfig::new(1, 2, 1, 100));
+        let mut h = store.attach();
+        let keys: Vec<u64> = (1..=8).map(|k| k * 10).collect();
+        // One shard, so the batch commits in key order: entries 0..4
+        // (keys 10..=40) commit before the closure panics on entry 4.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            h.update_many_with(&keys, |i, v| {
+                assert_ne!(i, 4, "the closure panics on entry 4");
+                v[0] += 1;
+            })
+        }));
+        assert!(unwound.is_err());
+        let stats = store.stats();
+        assert_eq!(stats.sc_successes, 4, "keys 10..=40 committed");
+        assert_eq!(stats.updates, stats.sc_successes, "every commit is counted");
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(h.read_vec(k).unwrap(), vec![u64::from(i < 4)], "key {k}");
+        }
+
+        // The same handle's next batch is exact.
+        h.update_many_with(&keys, |_, v| v[0] += 1).unwrap();
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(h.read_vec(k).unwrap(), vec![1 + u64::from(i < 4)], "key {k}");
+        }
+        let stats = store.stats();
+        assert_eq!(stats.updates, 4 + 8);
+        assert_eq!(stats.updates, stats.sc_successes);
+        drop(h);
+        assert_eq!(store.live_slot_leases(), 0, "drop released every shard slot");
     }
 }

@@ -21,8 +21,7 @@
 //! ```text
 //! key ──fnv──► shard s ──► SlotRegistry(c): one process id p per StoreHandle
 //!  │
-//!  └─────────► key table ──► per-key B::Object (c slots, W words), slot p borrowed
-//!                             B: MwFactory = PaperBackend
+//!  └─────────► key table ──► per-key MwLlSc (c slots, W words), slot p borrowed
 //! ```
 //!
 //! * [`Store`] owns `S` cache-line-padded shards, each a
@@ -32,18 +31,12 @@
 //!   on the key's first touch. A 16M-key store allocates a 1 MiB
 //!   directory up front and **nothing** per key until the key is first
 //!   touched (then one 4 KiB chunk if the key's chunk is new, plus the
-//!   object: `3cW + 3c + 1` words on the default backend). Key spaces
-//!   above [`Store::MAX_KEYS`] are a typed error.
-//! * The store is **generic over its backend**: the type parameter
-//!   `B: `[`MwFactory`] decides what a shard's key table materializes.
-//!   [`PaperBackend`] (the default — `Store::new` is unchanged) builds
-//!   paper objects on the tagged substrate;
-//!   `Store::<EpochBackend>::new_in(...)` runs the same router and lease
-//!   discipline over the epoch pointer-swap substrate; the baseline
-//!   markers in `llsc-baselines` (lock, seqlock, pointer-swap, AM-style)
-//!   open the 2^24-key workload to every implementation in the suite,
-//!   and `llsc_baselines::try_build_store(algo, config)` selects one at
-//!   runtime behind [`DynStore`].
+//!   object: `3cW + 3c + 1` words). Key spaces above [`Store::MAX_KEYS`]
+//!   are a typed error.
+//! * Every key's object is the paper's [`MwLlSc`](mwllsc::MwLlSc) on the
+//!   default tagged substrate. The comparison with the baselines is made
+//!   object against object, where the paper makes it (`llsc-baselines`,
+//!   experiments E1 and E8), not at store scale.
 //! * [`Router`] maps keys to shards with an FNV-1a hash — deterministic,
 //!   dependency-free, balanced (the router property tests assert ≤ 2× of
 //!   ideal across 64 shards).
@@ -61,15 +54,15 @@
 //!   [`MwLlSc::attach`](mwllsc::MwLlSc::attach)). Holding shard slot `p`
 //!   exclusively means no other handle uses process id `p` on *any*
 //!   object in that shard, so a per-key operation just borrows slot `p`
-//!   of the key's object ([`MwFactory::borrow_slot`]). On the paper
-//!   backends an operation takes no lock, no hash probe, no reference
-//!   count and no lease read-modify-write: two `Acquire` loads find the
-//!   object, one load and one store move the slot's `mybuf`, and the
-//!   rest is the paper's own `O(W)` steps.
+//!   of the key's object
+//!   ([`MwLlSc::borrow_slot`](mwllsc::MwLlSc::borrow_slot)). An operation
+//!   takes no lock, no hash probe, no reference count and no lease
+//!   read-modify-write: two `Acquire` loads find the object, one load and
+//!   one store move the slot's `mybuf`, and the rest is the paper's own
+//!   `O(W)` steps.
 //! * [`Store::space`] / [`Store::stats`] roll every materialized object's
-//!   [`SpaceReport`](mwllsc::SpaceReport) (including the substrate's
-//!   retired-words backlog) into one honest [`StoreSpace`] /
-//!   [`StoreStats`] report.
+//!   [`SpaceReport`](mwllsc::SpaceReport) and [`Stats`](mwllsc::Stats)
+//!   into one honest [`StoreSpace`] / [`StoreStats`] report.
 //!
 //! # Progress guarantees, honestly
 //!
@@ -105,19 +98,11 @@
 #![warn(missing_docs, missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-mod dynstore;
 mod handle;
 mod router;
 mod store;
 mod table;
 
-pub use dynstore::{DynStore, DynStoreHandle};
 pub use handle::StoreHandle;
 pub use router::{fnv1a, Router};
 pub use store::{Store, StoreConfig, StoreError, StoreSpace, StoreStats};
-
-// The backend vocabulary, re-exported so store consumers need not import
-// from the core crate: the default paper backend plus the substrate
-// ablations. Baseline backends (lock, seqlock, pointer-swap, AM-style)
-// live in `llsc-baselines` together with `try_build_store`.
-pub use mwllsc::{EpochBackend, MwFactory, PaperBackend, PaperRetryBackend};

@@ -4,7 +4,8 @@
 use mwllsc::sync::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mwllsc::{CachePadded, MwFactory, PaperBackend, SlotRegistry};
+use mwllsc::layout::Layout;
+use mwllsc::{CachePadded, MwLlSc, SlotRegistry};
 
 use crate::handle::StoreHandle;
 use crate::router::Router;
@@ -68,9 +69,8 @@ pub enum StoreError {
         /// The largest admissible value.
         max: u64,
     },
-    /// `shard_capacity` exceeds the backend's per-object process ceiling
-    /// ([`MwFactory::max_processes`] — `Layout::MAX_PROCESSES` for the
-    /// paper backends).
+    /// `shard_capacity` exceeds the per-object process ceiling
+    /// ([`Layout::MAX_PROCESSES`]).
     ShardCapacityTooLarge {
         /// The requested per-shard capacity.
         capacity: usize,
@@ -146,7 +146,7 @@ pub(crate) struct Shard {
     /// Shard-level slot leases. A [`StoreHandle`] holding slot `p` here
     /// owns process id `p` in *every* object of this shard, so it can
     /// borrow slot `p` of any of them per operation
-    /// ([`MwFactory::borrow_slot`]) without a lease of its own.
+    /// ([`MwLlSc::borrow_slot`]) without a lease of its own.
     pub(crate) registry: SlotRegistry,
     // Operation counters live *per shard* (inside the shard's padded
     // block), not on the `Store`: a single store-global counter would be
@@ -165,34 +165,22 @@ pub(crate) struct Shard {
 ///
 /// See the [crate docs](crate) for the architecture; construction is
 /// [`Store::try_new`] (or the panicking [`Store::new`]), access is through
-/// [`Store::attach`].
-///
-/// # Backends
-///
-/// The type parameter `B` selects the *backend*: the LL/SC implementation
-/// the key table materializes. The default [`PaperBackend`] keeps
-/// the original API — `Store::new(...)` still builds a store of paper
-/// objects over the tagged substrate — while
-/// `Store::<EpochBackend>::new_in(...)` (or any other [`MwFactory`])
-/// serves the same 2^24-key workload over a different implementation.
-/// Runtime selection (the harness CLI) goes through
-/// `llsc_baselines::try_build_store`, which returns the type-erased
-/// [`DynStore`](crate::DynStore) view.
-pub struct Store<B: MwFactory = PaperBackend> {
+/// [`Store::attach`]. Every key's object is a paper [`MwLlSc`] on the
+/// default tagged substrate.
+pub struct Store {
     router: Router,
     shards: Box<[CachePadded<Shard>]>,
     /// key → object, materialized on first touch.
-    table: KeyTable<B::Object>,
+    table: KeyTable<MwLlSc>,
     shard_capacity: usize,
     w: usize,
     keys: u64,
     initial: Box<[u64]>,
 }
 
-impl<B: MwFactory> std::fmt::Debug for Store<B> {
+impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
-            .field("backend", &B::NAME)
             .field("shards", &self.shards.len())
             .field("shard_capacity", &self.shard_capacity)
             .field("w", &self.w)
@@ -202,43 +190,18 @@ impl<B: MwFactory> std::fmt::Debug for Store<B> {
 }
 
 impl Store {
-    /// The largest key space a store (of any backend) addresses: `keys`
-    /// above this is a [`StoreError::KeySpaceTooLarge`]. The key table's
-    /// directory — its one allocation proportional to `keys` — costs
-    /// 1/16 byte per key, so this bounds it at 256 MiB.
+    /// The largest key space a store addresses: `keys` above this is a
+    /// [`StoreError::KeySpaceTooLarge`]. The key table's directory — its
+    /// one allocation proportional to `keys` — costs 1/16 byte per key, so
+    /// this bounds it at 256 MiB.
     pub const MAX_KEYS: u64 = table::MAX_KEYS;
 
-    /// Creates a [`PaperBackend`] store, reporting configuration problems
-    /// as typed errors.
-    ///
-    /// This is [`try_new_in`](Store::try_new_in) pinned to the default
-    /// backend, so `Store::try_new(...)` needs no type annotations.
-    pub fn try_new(config: StoreConfig) -> Result<Arc<Self>, StoreError> {
-        Self::try_new_in(config)
-    }
-
-    /// [`try_new`](Self::try_new), panicking on configuration errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the conditions `try_new` reports as errors.
-    #[must_use]
-    pub fn new(config: StoreConfig) -> Arc<Self> {
-        Self::new_in(config)
-    }
-}
-
-impl<B: MwFactory> Store<B> {
-    /// Creates a store over backend `B`, reporting configuration problems
-    /// as typed errors.
+    /// Creates a store, reporting configuration problems as typed errors.
     ///
     /// Nothing is allocated per key here: the key table starts as a
     /// directory of empty chunks (1/16 byte per key) and a key's object is
-    /// materialized on first touch. (For inference reasons the backend-generic constructors
-    /// carry the `_in` suffix, mirroring `MwLlSc::try_new_in`; the
-    /// unsuffixed [`Store::try_new`]/[`Store::new`] build the default
-    /// [`PaperBackend`].)
-    pub fn try_new_in(config: StoreConfig) -> Result<Arc<Self>, StoreError> {
+    /// materialized on first touch.
+    pub fn try_new(config: StoreConfig) -> Result<Arc<Self>, StoreError> {
         let StoreConfig { shards, shard_capacity, width, keys, initial } = config;
         if shards == 0 {
             return Err(StoreError::ZeroShards);
@@ -255,10 +218,10 @@ impl<B: MwFactory> Store<B> {
         if keys > table::MAX_KEYS {
             return Err(StoreError::KeySpaceTooLarge { keys, max: table::MAX_KEYS });
         }
-        if shard_capacity > B::max_processes() {
+        if shard_capacity > Layout::MAX_PROCESSES {
             return Err(StoreError::ShardCapacityTooLarge {
                 capacity: shard_capacity,
-                max: B::max_processes(),
+                max: Layout::MAX_PROCESSES,
             });
         }
         if initial.len() != width {
@@ -284,22 +247,15 @@ impl<B: MwFactory> Store<B> {
         }))
     }
 
-    /// [`try_new_in`](Self::try_new_in), panicking on configuration
-    /// errors.
+    /// [`try_new`](Self::try_new), panicking on configuration errors.
     ///
     /// # Panics
     ///
-    /// Panics on the conditions `try_new_in` reports as errors.
+    /// Panics on the conditions `try_new` reports as errors.
     #[must_use]
-    pub fn new_in(config: StoreConfig) -> Arc<Self> {
-        // lint: panic-ok(documented `# Panics` convenience wrapper; try_new_in is the typed path)
-        Self::try_new_in(config).unwrap_or_else(|e| panic!("Store::new: {e}"))
-    }
-
-    /// The backend's display name (e.g. `"paper"`, `"lock"`).
-    #[must_use]
-    pub fn backend(&self) -> &'static str {
-        B::NAME
+    pub fn new(config: StoreConfig) -> Arc<Self> {
+        // lint: panic-ok(documented `# Panics` convenience wrapper; try_new is the typed path)
+        Self::try_new(config).unwrap_or_else(|e| panic!("Store::new: {e}"))
     }
 
     /// Attaches a [`StoreHandle`].
@@ -309,7 +265,7 @@ impl<B: MwFactory> Store<B> {
     /// [`StoreError::ShardExhausted`] on the first operation that needs a
     /// full shard — not here.
     #[must_use]
-    pub fn attach(self: &Arc<Self>) -> StoreHandle<B> {
+    pub fn attach(self: &Arc<Self>) -> StoreHandle {
         StoreHandle::new(Arc::clone(self))
     }
 
@@ -379,40 +335,37 @@ impl<B: MwFactory> Store<B> {
     /// The object for `key` (already checked by [`route`](Self::route)),
     /// materialized on first touch. A hit is two `Acquire` loads.
     #[inline]
-    pub(crate) fn object(&self, key: u64) -> &Arc<B::Object> {
+    pub(crate) fn object(&self, key: u64) -> &Arc<MwLlSc> {
         self.table.get_or_init(key, || {
-            B::try_build(self.shard_capacity, self.w, &self.initial)
-                .expect("per-key config was validated at store construction") // lint: panic-ok(try_build was proven Ok for this exact config at construction)
+            MwLlSc::try_new(self.shard_capacity, self.w, &self.initial)
+                .expect("per-key config was validated at store construction") // lint: panic-ok(try_new validated this exact config at store construction)
         })
     }
 
-    /// Rolls every materialized object's space accounting (including the
-    /// backend's retired-words backlog) into one [`StoreSpace`].
+    /// Rolls every materialized object's space accounting into one
+    /// [`StoreSpace`].
     ///
     /// `shared_words` sums what each object *measures* about itself
-    /// ([`MwFactory::measured_shared_words`]), while
-    /// `per_key_shared_words` is the backend's closed-form formula — the
-    /// store tests assert `shared_words == touched ×
-    /// per_key_shared_words`, which keeps the formula honest against the
-    /// actual allocations rather than defining the invariant away.
+    /// ([`MwLlSc::space`]), while `per_key_shared_words` is the paper's
+    /// closed-form `3cW + 3c + 1` — the store tests assert `shared_words
+    /// == touched × per_key_shared_words`, which keeps the formula honest
+    /// against the actual allocations rather than defining the invariant
+    /// away.
     #[must_use]
     pub fn space(&self) -> StoreSpace {
         let mut shared_words = 0;
-        let mut retired_words = 0;
         let mut touched_keys = 0;
         for obj in self.table.iter() {
             touched_keys += 1;
-            shared_words += B::measured_shared_words(obj);
-            retired_words += B::retired_words(obj);
+            shared_words += obj.space().shared_words();
         }
+        let (c, w) = (self.shard_capacity, self.w);
         StoreSpace {
-            backend: B::NAME,
             shards: self.shards.len(),
             key_capacity: self.keys,
             touched_keys,
             shared_words,
-            retired_words,
-            per_key_shared_words: B::object_shared_words(self.shard_capacity, self.w),
+            per_key_shared_words: 3 * c * w + 3 * c + 1,
         }
     }
 
@@ -427,7 +380,7 @@ impl<B: MwFactory> Store<B> {
             s.update_retries += shard.update_retries.load(Ordering::Relaxed);
         }
         for obj in self.table.iter() {
-            let os = B::object_stats(obj);
+            let os = obj.stats();
             s.objects += 1;
             s.ll_ops += os.ll_ops;
             s.sc_attempts += os.sc_attempts;
@@ -442,9 +395,8 @@ impl<B: MwFactory> Store<B> {
 /// Honest space rollup for one [`Store`], in 64-bit words.
 ///
 /// `shared_words` counts the exact per-object footprint
-/// ([`MwFactory::object_shared_words`]) of every *materialized* object;
-/// keys never touched cost nothing, which is the whole point of lazy
-/// initialization. The invariant
+/// ([`MwLlSc::space`]) of every *materialized* object; keys never touched
+/// cost nothing, which is the whole point of lazy initialization. The invariant
 /// `shared_words == touched_keys × per_key_shared_words` is asserted by
 /// the store stress tests. Word counts are logical registers (the paper's
 /// unit); allocator and alignment slack, the key table's slots and the
@@ -452,8 +404,6 @@ impl<B: MwFactory> Store<B> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StoreSpace {
-    /// The backend that materialized the objects ([`MwFactory::NAME`]).
-    pub backend: &'static str,
     /// Shard count `S`.
     pub shards: usize,
     /// Configured logical key space.
@@ -461,24 +411,18 @@ pub struct StoreSpace {
     /// Keys materialized by a first touch.
     pub touched_keys: usize,
     /// Live shared words over all materialized objects: `touched ×
-    /// per_key_shared_words` (`touched × (3cW + 3c + 1)` for the paper
-    /// backends).
+    /// per_key_shared_words`.
     pub shared_words: usize,
-    /// Substrate reclamation backlog over all materialized objects
-    /// (retired-but-not-freed words; zero for the default tagged
-    /// substrate).
-    pub retired_words: usize,
-    /// Cost of one materialized key ([`MwFactory::object_shared_words`];
-    /// `3cW + 3c + 1` words for the paper backends).
+    /// Cost of one materialized key: the paper's `3cW + 3c + 1` words.
     pub per_key_shared_words: usize,
 }
 
 impl StoreSpace {
-    /// Everything the store currently holds: live words plus the
-    /// reclamation backlog.
+    /// Everything the store currently holds, in words. The tagged cells
+    /// retire nothing, so this is `shared_words`.
     #[must_use]
     pub fn total_words(&self) -> usize {
-        self.shared_words + self.retired_words
+        self.shared_words
     }
 
     /// What materializing the *entire* key space up front would cost, in

@@ -2,13 +2,11 @@
 //! after one call has sized the handle's scratch, `read_many_into` and
 //! `update_many_with` over already-materialized keys make zero heap
 //! allocations. The lexical L004 rule cannot see through calls; this
-//! counting allocator can. It runs on the paper backend: the epoch
-//! substrate allocates a node per SC by design.
+//! counting allocator can.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mwllsc::PaperBackend;
 use mwllsc_store::{Store, StoreConfig};
 
 thread_local! {
@@ -59,7 +57,7 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
 #[test]
 fn warm_batch_paths_allocate_nothing() {
     const W: usize = 2;
-    let store = Store::<PaperBackend>::new_in(StoreConfig::new(4, 2, W, 1 << 12));
+    let store = Store::new(StoreConfig::new(4, 2, W, 1 << 12));
     let mut h = store.attach();
     // Duplicates and several shards, so runs fold and counters flush.
     let keys: Vec<u64> = (0..64u64).map(|i| (i * 37) % 48).collect();

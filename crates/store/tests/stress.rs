@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use mwllsc::layout::Layout;
-use mwllsc_store::{EpochBackend, Store, StoreConfig};
+use mwllsc_store::{Store, StoreConfig};
 
 /// Logical key space: 2^24 — beyond the single-object process ceiling
 /// (`Layout::MAX_PROCESSES` = 2^22), which is the point of the store.
@@ -211,13 +211,11 @@ fn per_key_counters_are_exact_across_a_2pow24_key_space() {
     assert_eq!(store.live_slot_leases(), 0);
 
     // The rolled-up space invariant: exactly the touched keys are
-    // materialized, each costing the paper's per-object footprint; the
-    // tagged substrate retires nothing.
+    // materialized, each costing the paper's per-object footprint.
     let space = store.space();
     assert_eq!(space.touched_keys, keys.len());
     assert_eq!(space.per_key_shared_words, 3 * (UPDATERS + 1) * W + 3 * (UPDATERS + 1) + 1);
     assert_eq!(space.shared_words, keys.len() * space.per_key_shared_words);
-    assert_eq!(space.retired_words, 0);
 
     // And the stats rollup agrees with the workload.
     let stats = store.stats();
@@ -225,119 +223,6 @@ fn per_key_counters_are_exact_across_a_2pow24_key_space() {
     assert_eq!(stats.updates, expected * keys.len() as u64);
     assert_eq!(stats.sc_successes, stats.updates, "every update landed exactly one SC");
     assert_eq!(stats.sc_attempts, stats.updates + stats.update_retries);
-}
-
-/// The same composition proof on a *non-paper* backend: the epoch
-/// pointer-swap substrate under an `update_many` storm. Every batched
-/// update must commit exactly once, the reader must never observe a torn
-/// `(counter, 7·counter)` pair or a counter moving backwards, and the
-/// space rollup must hold `touched × per_key` — with the epoch
-/// substrate's reclamation backlog reported (and bounded), not hidden.
-#[test]
-fn batched_updates_are_exact_on_the_epoch_backend() {
-    const ROUNDS: usize = 2;
-    const BATCH: usize = 64;
-    let seed = stress_seed();
-    let distinct_keys = stress_iters(512).min(1 << 18);
-    let keys = Arc::new(key_set(distinct_keys));
-
-    let store = Store::<EpochBackend>::new_in(StoreConfig::new(16, UPDATERS + 1, W, KEY_CAPACITY));
-    let barrier = Arc::new(Barrier::new(UPDATERS + 1));
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let mut joins = Vec::new();
-    for t in 0..UPDATERS {
-        let store = Arc::clone(&store);
-        let keys = Arc::clone(&keys);
-        let barrier = Arc::clone(&barrier);
-        joins.push(std::thread::spawn(move || {
-            let mut jitter = Jitter::new(seed, t as u64);
-            let mut h = store.attach();
-            barrier.wait();
-            for round in 0..ROUNDS {
-                let start = (mix(seed, (t * ROUNDS + round) as u64 + 1000) as usize) % keys.len();
-                // Walk the whole key set in update_many batches.
-                for chunk_start in (0..keys.len()).step_by(BATCH) {
-                    jitter.perturb();
-                    let mut batch: Vec<(u64, _)> = (chunk_start
-                        ..(chunk_start + BATCH).min(keys.len()))
-                        .map(|i| {
-                            (keys[(start + i) % keys.len()], |v: &mut [u64]| {
-                                v[0] += 1;
-                                v[1] = v[0] * 7;
-                            })
-                        })
-                        .collect();
-                    h.update_many(&mut batch).unwrap();
-                }
-            }
-        }));
-    }
-
-    let reader = {
-        let store = Arc::clone(&store);
-        let keys = Arc::clone(&keys);
-        let barrier = Arc::clone(&barrier);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut h = store.attach();
-            let mut last: HashMap<u64, u64> = HashMap::new();
-            barrier.wait();
-            let mut batches = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let start = (batches as usize * 131) % keys.len();
-                let batch: Vec<u64> = (0..32).map(|i| keys[(start + i) % keys.len()]).collect();
-                for (i, v) in h.read_many(&batch).unwrap().into_iter().enumerate() {
-                    assert_eq!(v[1], v[0] * 7, "torn value at key {}: {v:?}", batch[i]);
-                    let prev = last.entry(batch[i]).or_insert(0);
-                    assert!(v[0] >= *prev, "counter of key {} went backwards", batch[i]);
-                    *prev = v[0];
-                }
-                batches += 1;
-            }
-            batches
-        })
-    };
-
-    for j in joins {
-        j.join().unwrap();
-    }
-    stop.store(true, Ordering::Relaxed);
-    assert!(reader.join().unwrap() > 0, "the reader must have observed the storm");
-
-    let expected = (UPDATERS * ROUNDS) as u64;
-    let mut h = store.attach();
-    for chunk in keys.chunks(512) {
-        for (i, v) in h.read_many(chunk).unwrap().into_iter().enumerate() {
-            assert_eq!(
-                v,
-                vec![expected, expected * 7],
-                "key {} lost or duplicated a batched increment",
-                chunk[i]
-            );
-        }
-    }
-    drop(h);
-    assert_eq!(store.live_slot_leases(), 0);
-
-    let space = store.space();
-    assert_eq!(space.backend, "paper-epoch");
-    assert_eq!(space.touched_keys, keys.len());
-    assert_eq!(space.shared_words, keys.len() * space.per_key_shared_words);
-    // The epoch substrate retires a node per successful SC; the backlog
-    // must be bounded by the reclamation discipline, not grow with the
-    // total SC count (which is ≥ expected × keys).
-    let total_updates = expected * keys.len() as u64;
-    assert!(
-        (space.retired_words as u64) < total_updates,
-        "retired backlog {} words looks unbounded against {} updates",
-        space.retired_words,
-        total_updates
-    );
-
-    let stats = store.stats();
-    assert_eq!(stats.updates, total_updates);
-    assert_eq!(stats.sc_successes, stats.updates, "every batched update landed exactly one SC");
 }
 
 /// Handle churn: short-lived workers each attach a handle, increment
