@@ -6,7 +6,9 @@
 use std::collections::HashMap;
 use std::sync::Barrier;
 
+use mwllsc_suite::llsc_baselines::{try_build, Algo, AmStyleLlSc};
 use mwllsc_suite::mwllsc::layout::Layout;
+use mwllsc_suite::mwllsc::ConfigError;
 use mwllsc_suite::mwllsc_store::{Store, StoreConfig, StoreError};
 
 /// Tiny deterministic LCG so the model comparison is reproducible.
@@ -140,13 +142,11 @@ fn one_store_serves_2pow24_logical_variables() {
 }
 
 /// The typed-error matrix mirrored from `MwLlSc::try_new`: every invalid
-/// configuration is an error value, never a panic — including a shard
-/// capacity past the paper object's `2^22` process ceiling.
+/// configuration is an error value, never a panic.
 #[test]
 fn constructors_report_typed_errors() {
     let ok = StoreConfig::new(2, 2, 2, 16);
     assert!(Store::try_new(ok.clone()).is_ok());
-    let too_many = Layout::MAX_PROCESSES + 1;
     for (cfg, want) in [
         (StoreConfig { shards: 0, ..ok.clone() }, StoreError::ZeroShards),
         (StoreConfig { shard_capacity: 0, ..ok.clone() }, StoreError::ZeroShardCapacity),
@@ -156,13 +156,31 @@ fn constructors_report_typed_errors() {
             StoreConfig { initial: vec![0; 5], ..ok.clone() },
             StoreError::WrongInitLen { expected: 2, got: 5 },
         ),
-        (
-            StoreConfig { shard_capacity: too_many, ..ok.clone() },
-            StoreError::ShardCapacityTooLarge { capacity: too_many, max: Layout::MAX_PROCESSES },
-        ),
     ] {
         assert_eq!(Store::try_new(cfg.clone()).err(), Some(want), "{cfg:?}");
     }
+}
+
+/// Capacity ceilings are per backend: the store's shards are paper
+/// objects, so shard capacity is judged against the paper's `2^22`; the
+/// baselines keep their own at object level — AM-style's `2^15`, none for
+/// the `O(W)` baselines (probed at a ceiling low enough to allocate).
+#[test]
+fn shard_capacity_ceiling_is_per_backend() {
+    let cfg = |cap: usize| StoreConfig::new(1, cap, 1, 16);
+    assert_eq!(
+        Store::try_new(cfg(Layout::MAX_PROCESSES + 1)).unwrap_err(),
+        StoreError::ShardCapacityTooLarge {
+            capacity: Layout::MAX_PROCESSES + 1,
+            max: Layout::MAX_PROCESSES
+        }
+    );
+    assert!(Store::try_new(cfg(AmStyleLlSc::MAX_PROCESSES + 1)).is_ok());
+    assert_eq!(
+        try_build(Algo::AmStyle, AmStyleLlSc::MAX_PROCESSES + 1, 1, &[0]).err(),
+        Some(ConfigError::TooManyProcesses)
+    );
+    assert!(try_build(Algo::Lock, AmStyleLlSc::MAX_PROCESSES + 1, 1, &[0]).is_ok());
 }
 
 /// Two threads add `1` to every word of a few hot keys through
