@@ -16,7 +16,7 @@ use std::sync::Arc;
 use llsc_word::{Link, NewCell, TaggedLlSc};
 
 use crate::layout::{HelpRecord, XRecord};
-use crate::stats::Counters;
+use crate::stats::Stats;
 use crate::variable::{LlStrategy, MwLlSc};
 
 /// Process `p`'s capability to operate on a [`MwLlSc`] object.
@@ -52,6 +52,8 @@ pub struct Handle<C: NewCell = TaggedLlSc, O: Deref<Target = MwLlSc<C>> = Arc<Mw
     x_rec: XRecord,
     /// Link token for the latest LL on `X` (realizes the hardware link).
     x_link: Option<Link>,
+    /// This handle's own counters, bumped only by its holder.
+    stats: Stats,
 }
 
 impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> std::fmt::Debug for Handle<C, O> {
@@ -69,7 +71,14 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
     /// the paper's `2N + p`, later whatever buffer the previous lease of
     /// this slot owned when it was dropped.
     pub(crate) fn new(obj: O, p: usize, mybuf: u32) -> Self {
-        Self { obj, p, mybuf, x_rec: XRecord { buf: 0, seq: 0 }, x_link: None }
+        Self {
+            obj,
+            p,
+            mybuf,
+            x_rec: XRecord { buf: 0, seq: 0 },
+            x_link: None,
+            stats: Stats::default(),
+        }
     }
 
     /// The process id `p` in `0..N`.
@@ -82,6 +91,15 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
     #[must_use]
     pub fn object(&self) -> &O {
         &self.obj
+    }
+
+    /// A snapshot of this handle's own counters: the operations issued
+    /// through it, from zero at its creation. The handle owns them, not
+    /// the object; an object's total is its handles' snapshots summed
+    /// with `+=`.
+    #[must_use]
+    pub fn stats(&self) -> Stats {
+        self.stats
     }
 
     /// Load-linked: reads the current `W`-word value of `O` into `out` and
@@ -97,7 +115,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
     /// Panics if `out.len() != W`.
     pub fn ll(&mut self, out: &mut [u64]) {
         assert_eq!(out.len(), self.obj.w, "ll: output slice length must equal W");
-        Counters::bump(&self.obj.counters.ll_ops);
+        self.stats.ll_ops += 1;
         match self.obj.strategy {
             LlStrategy::WaitFree => {
                 let (rec, link) = self.ll_waitfree(self.p, out, true);
@@ -122,7 +140,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
     pub fn sc(&mut self, v: &[u64]) -> bool {
         assert_eq!(v.len(), self.obj.w, "sc: value slice length must equal W");
         let x_link = self.x_link.expect("sc: no preceding ll on this handle");
-        Counters::bump(&self.obj.counters.sc_attempts);
+        self.stats.sc_attempts += 1;
 
         let o = &*self.obj;
         let lay = o.layout;
@@ -134,7 +152,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
         if bv != u64::from(xr.buf) && o.x.vl(x_link) {
             // Line 13: SC(Bank[x_p.seq], x_p.buf)
             if bank_s.sc(b_link, u64::from(xr.buf)) {
-                Counters::bump(&o.counters.bank_fixups);
+                self.stats.bank_fixups += 1;
             }
         }
 
@@ -146,7 +164,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
         if h.helpme && o.x.vl(x_link) {
             // Line 15: if SC(Help[q], (0, mybuf_p))
             if help_q.sc(h_link, lay.pack_help(HelpRecord { helpme: false, buf: self.mybuf })) {
-                Counters::bump(&o.counters.helps_given);
+                self.stats.helps_given += 1;
                 // Line 16: mybuf_p = d  (ownership exchange with the helpee)
                 self.mybuf = h.buf;
             }
@@ -161,7 +179,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
 
         // Line 19: if SC(X, (mybuf_p, (x_p.seq + 1) mod 2N))
         if o.x.sc(x_link, lay.pack_x(XRecord { buf: self.mybuf, seq: next })) {
-            Counters::bump(&o.counters.sc_successes);
+            self.stats.sc_successes += 1;
             // Line 20: mybuf_p = e — take over the buffer whose value just
             // aged out of the 2N-deep history; it is now safe to reuse.
             self.mybuf = e as u32;
@@ -182,7 +200,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
     /// Panics if no `ll` was ever performed on this handle.
     pub fn vl(&mut self) -> bool {
         let x_link = self.x_link.expect("vl: no preceding ll on this handle");
-        Counters::bump(&self.obj.counters.vl_ops);
+        self.stats.vl_ops += 1;
         // Line 23: return VL(X).
         self.obj.x.vl(x_link)
     }
@@ -252,7 +270,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
         let (hv4, _link4) = o.help[p].ll();
         let h4 = lay.unpack_help(hv4);
         if !h4.helpme {
-            Counters::bump(&o.counters.lls_helped);
+            self.stats.lls_helped += 1;
             let b = h4.buf;
 
             // Line 5: x_p = LL(X) — re-read; the helper's value may be
@@ -270,7 +288,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
             // and since X changed, our subsequent SC will fail either way
             // (O2 satisfied with the older-but-valid value).
             if !o.x.vl(x_link) {
-                Counters::bump(&o.counters.lls_rescued);
+                self.stats.lls_rescued += 1;
                 o.bufs.get(b as usize).copy_to(out);
             }
         }
@@ -282,7 +300,7 @@ impl<C: NewCell, O: Deref<Target = MwLlSc<C>>> Handle<C, O> {
             // Line 9: SC(Help[p], (0, c)). Failure means a helper slipped
             // in between lines 8 and 9; line 10 picks up its donation.
             if !o.help[p].sc(h_link8, lay.pack_help(HelpRecord { helpme: false, buf: h8.buf })) {
-                Counters::bump(&o.counters.withdraw_races);
+                self.stats.withdraw_races += 1;
             }
         }
 
@@ -510,16 +528,20 @@ mod tests {
 
     #[test]
     fn stats_count_basic_ops() {
-        let (mut h0, _h1) = obj2();
+        // Each handle counts only its own operations; `+=` totals them.
+        let (mut h0, mut h1) = obj2();
         let mut v = [0u64; 2];
         h0.ll(&mut v);
-        h0.vl();
-        h0.sc(&[0, 0]);
-        let s = h0.object().stats();
-        assert_eq!(s.ll_ops, 1);
-        assert_eq!(s.vl_ops, 1);
-        assert_eq!(s.sc_attempts, 1);
-        assert_eq!(s.sc_successes, 1);
+        h1.ll(&mut v);
+        assert!(h0.vl() && h0.sc(&[0, 0]));
+        assert!(!h1.vl() && !h1.sc(&[1, 1]));
+        h1.ll(&mut v);
+        let ops = |s: Stats| (s.ll_ops, s.vl_ops, s.sc_attempts, s.sc_successes);
+        let (mut total, s1) = (h0.stats(), h1.stats());
+        assert_eq!(ops(total), (1, 1, 1, 1));
+        assert_eq!(ops(s1), (2, 1, 1, 0));
+        total += s1;
+        assert_eq!(ops(total), (3, 2, 2, 1));
     }
 
     #[test]

@@ -3,63 +3,21 @@
 //! The counters quantify how often each path of the algorithm runs — in
 //! particular the helping machinery of §2.2–§2.3, which only activates
 //! under heavy interference. They feed experiment E7 (helping mechanism
-//! frequency) and are cheap enough (`Relaxed` fetch-adds) to leave on
-//! unconditionally.
+//! frequency).
+//!
+//! Each [`Handle`](crate::Handle) keeps its own [`Stats`] as plain
+//! fields that only its holder bumps, so counting adds no shared access
+//! to the paper's steps (and none the model scheduler sees). An object's
+//! total is its handles' snapshots summed with `+=`.
 
-// The counters deliberately bypass the facade: under `--cfg mwllsc_model`
-// facade atomics become scheduling points, and instrumentation must not
-// perturb the model twin's step-for-step access stream (nor inflate the
-// DFS state space).
-// lint: facade-exempt(diagnostic counters must stay invisible to the model scheduler)
-use core::sync::atomic::{AtomicU64, Ordering};
+use std::ops::AddAssign;
 
-/// Live counters attached to a [`MwLlSc`](crate::MwLlSc) instance.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub ll_ops: AtomicU64,
-    pub sc_attempts: AtomicU64,
-    pub sc_successes: AtomicU64,
-    pub vl_ops: AtomicU64,
-    /// LLs that found `(0, b)` at line 4 — a helper intervened.
-    pub lls_helped: AtomicU64,
-    /// Helped LLs whose line-7 VL failed, i.e. the value actually returned
-    /// came from the helper's donated buffer (a rescued torn read).
-    pub lls_rescued: AtomicU64,
-    /// Line-9 SCs that failed: help arrived between lines 8 and 9.
-    pub withdraw_races: AtomicU64,
-    /// Successful line-15 SCs: this process handed its buffer to a helpee.
-    pub helps_given: AtomicU64,
-    /// Successful line-13 SCs: lazy `Bank` fix-ups performed.
-    pub bank_fixups: AtomicU64,
-}
-
-impl Counters {
-    #[inline]
-    pub(crate) fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> Stats {
-        Stats {
-            ll_ops: self.ll_ops.load(Ordering::Relaxed),
-            sc_attempts: self.sc_attempts.load(Ordering::Relaxed),
-            sc_successes: self.sc_successes.load(Ordering::Relaxed),
-            vl_ops: self.vl_ops.load(Ordering::Relaxed),
-            lls_helped: self.lls_helped.load(Ordering::Relaxed),
-            lls_rescued: self.lls_rescued.load(Ordering::Relaxed),
-            withdraw_races: self.withdraw_races.load(Ordering::Relaxed),
-            helps_given: self.helps_given.load(Ordering::Relaxed),
-            bank_fixups: self.bank_fixups.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time snapshot of the instrumentation counters.
+/// A snapshot of one [`Handle`](crate::Handle)'s instrumentation counters.
 ///
-/// Obtained from [`MwLlSc::stats`](crate::MwLlSc::stats). Counter values
-/// are monotonically non-decreasing over the object's lifetime; when read
-/// while operations are in flight, individual counters are exact but the
-/// snapshot as a whole is not atomic.
+/// Obtained from [`Handle::stats`](crate::Handle::stats): the operations
+/// issued through that handle since it was created (a later handle on the
+/// same slot starts from zero). Counters never decrease over the handle's
+/// lifetime; total several handles with `+=`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Stats {
@@ -85,6 +43,21 @@ pub struct Stats {
     pub bank_fixups: u64,
 }
 
+impl AddAssign for Stats {
+    /// Adds `other` field by field: the total of two handles' counters.
+    fn add_assign(&mut self, other: Stats) {
+        self.ll_ops += other.ll_ops;
+        self.sc_attempts += other.sc_attempts;
+        self.sc_successes += other.sc_successes;
+        self.vl_ops += other.vl_ops;
+        self.lls_helped += other.lls_helped;
+        self.lls_rescued += other.lls_rescued;
+        self.withdraw_races += other.withdraw_races;
+        self.helps_given += other.helps_given;
+        self.bank_fixups += other.bank_fixups;
+    }
+}
+
 impl Stats {
     /// Fraction of SC attempts that succeeded, in `[0, 1]`; `None` if no
     /// SCs were attempted.
@@ -105,7 +78,7 @@ impl Stats {
     /// # Panics
     ///
     /// Panics if `earlier` has any counter greater than `self` (i.e. the
-    /// snapshots are swapped or from different objects).
+    /// snapshots are swapped or from different handles).
     #[must_use]
     pub fn since(&self, earlier: &Stats) -> Stats {
         let sub =
@@ -130,14 +103,15 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_bumps() {
-        let c = Counters::default();
-        Counters::bump(&c.ll_ops);
-        Counters::bump(&c.ll_ops);
-        Counters::bump(&c.helps_given);
-        let s = c.snapshot();
-        assert_eq!(s.ll_ops, 2);
-        assert_eq!(s.helps_given, 1);
-        assert_eq!(s.sc_attempts, 0);
+        // A snapshot is a copy: later bumps show only in the next one.
+        let obj = crate::MwLlSc::new(1, 1, &[0]);
+        let mut h = obj.claim(0).unwrap();
+        h.ll(&mut [0]);
+        let before = h.stats();
+        assert!(h.sc(&[1]));
+        let after = h.stats();
+        assert_eq!((before.ll_ops, before.sc_attempts), (1, 0));
+        assert_eq!((after.ll_ops, after.sc_attempts, after.sc_successes), (1, 1, 1));
     }
 
     #[test]
@@ -163,6 +137,9 @@ mod tests {
         assert_eq!(d.ll_ops, 4);
         assert_eq!(d.sc_attempts, 4);
         assert_eq!(d.sc_successes, 2);
+        let mut total = a;
+        total += d;
+        assert_eq!(total, b, "`+=` undoes `since`");
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::handle::Handle;
 use crate::layout::{HelpRecord, Layout, XRecord};
 use crate::pad::CachePadded;
 use crate::registry::{AttachError, SlotRegistry};
-use crate::stats::{Counters, Stats};
 
 /// How [`Handle::ll`](crate::Handle::ll) obtains a consistent value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -214,7 +213,6 @@ pub struct MwLlSc<C: NewCell = TaggedLlSc> {
     pub(crate) help: Box<[C]>,
     /// `BUF[0..3N-1]`: the value buffers, one flat `3N·W`-word allocation.
     pub(crate) bufs: BufferPool,
-    pub(crate) counters: Counters,
     pub(crate) strategy: LlStrategy,
     /// Slot leases. A free or parked slot's payload is its `mybuf_p`, so
     /// this is also the per-process `mybuf` array.
@@ -321,7 +319,6 @@ impl<C: NewCell> MwLlSc<C> {
             bank,
             help,
             bufs,
-            counters: Counters::default(),
             strategy,
             registry: SlotRegistry::for_object(n, layout.num_seqs()),
         }))
@@ -489,12 +486,6 @@ impl<C: NewCell> MwLlSc<C> {
             owners.iter().all(|&c| c == 1),
             "buffers 0..3N must be owned exactly once, got {owners:?}"
         );
-    }
-
-    /// A snapshot of the instrumentation counters.
-    #[must_use]
-    pub fn stats(&self) -> Stats {
-        self.counters.snapshot()
     }
 
     /// 64-bit words currently held in the substrate cells' reclamation

@@ -127,6 +127,7 @@ fn fetch_increment_storm_verified(n: usize, w: usize, per_thread: u64) {
                     successes += 1;
                 }
             }
+            h.stats()
         }));
     }
     // Main thread: increments too, and checks monotonicity of word 0.
@@ -149,13 +150,14 @@ fn fetch_increment_storm_verified(n: usize, w: usize, per_thread: u64) {
             successes += 1;
         }
     }
+    let mut s = h0.stats();
     for j in joins {
-        j.join().unwrap();
+        s += j.join().unwrap();
     }
     h0.ll(&mut v);
     assert_checksummed(&v, "final LL");
     assert_eq!(v[0], n as u64 * per_thread, "every successful SC counted exactly once");
-    let s = obj.stats();
+    // Counters are per handle; their sum counts every process's SCs.
     assert_eq!(s.sc_successes, n as u64 * per_thread);
     assert!(s.lls_rescued <= s.lls_helped);
 }
@@ -269,6 +271,7 @@ fn slow_reader_under_writer_storm_never_sees_torn_value() {
                 h.ll(&mut v);
                 assert_checksummed(&v, "writer LL");
             }
+            h.stats()
         }));
     }
     let mut jitter = Jitter::new(base, 0);
@@ -281,10 +284,10 @@ fn slow_reader_under_writer_storm_never_sees_torn_value() {
         assert_checksummed(&v, "reader Read");
     }
     stop.store(true, Ordering::Relaxed);
+    let mut s = reader.stats();
     for j in joins {
-        j.join().unwrap();
+        s += j.join().unwrap();
     }
-    let s = obj.stats();
     // Informative: rescues can legitimately be zero on a fast machine, but
     // helped LLs at least must never exceed total LLs.
     assert!(s.lls_helped <= s.ll_ops);

@@ -624,6 +624,7 @@ pub fn e7_helping(quick: bool) {
                     }
                     h.ll(&mut v);
                 }
+                h.stats()
             }));
         }
         let mut torn = 0u64;
@@ -635,12 +636,13 @@ pub fn e7_helping(quick: bool) {
             }
         }
         stop.store(true, Ordering::Relaxed);
+        // Counters are per handle: the object's totals are the sum.
+        let mut s = reader.stats();
         for j in joins {
-            j.join().unwrap();
+            s += j.join().unwrap();
         }
         reads += reader_ops;
         torn_total += torn;
-        let s = obj.stats();
         t.row([
             n.to_string(),
             w.to_string(),

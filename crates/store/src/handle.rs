@@ -10,12 +10,12 @@
 //! That borrow is one load of the slot's parked `mybuf` and one store
 //! back — no lease read-modify-write, no reference count — and the key
 //! table finds the object with two `Acquire` loads, so an operation
-//! touches little besides the key's own paper object.
+//! touches little besides the key's own paper object and its slot's own
+//! counters.
 
-use mwllsc::sync::Ordering;
 use std::sync::Arc;
 
-use crate::store::{Shard, Store, StoreError};
+use crate::store::{Store, StoreError};
 
 /// A capability to operate on a [`Store`]'s logical variables.
 ///
@@ -116,8 +116,9 @@ impl StoreHandle {
             return Err(StoreError::WrongValueLen { expected: self.store.width(), got: out.len() });
         }
         let (si, p) = self.route_slot(key)?;
-        self.store.object(key).borrow_slot(p).read(out);
-        self.store.shard(si).reads.fetch_add(1, Ordering::Relaxed);
+        let mut h = self.store.object(key).borrow_slot(p);
+        h.read(out);
+        self.store.counters(si, p).count(1, 0, &h.stats());
         Ok(())
     }
 
@@ -155,10 +156,9 @@ impl StoreHandle {
             h.ll(out);
             f(out);
             if h.sc(out) {
-                store.shard(si).updates.fetch_add(1, Ordering::Relaxed);
+                store.counters(si, p).count(0, 1, &h.stats());
                 return Ok(());
             }
-            store.shard(si).update_retries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -188,8 +188,7 @@ impl StoreHandle {
     ///
     /// The batch is processed in `(shard, key)` order: the shard-slot
     /// lookup is paid once per key up front, consecutive duplicate keys
-    /// share one borrowed object slot, the per-shard operation counter is
-    /// bumped once per run instead of once per key, and each shard's keys
+    /// share one borrowed object slot and one count, and each shard's keys
     /// are visited in key order.
     ///
     /// All-or-nothing for the *reads*: routing is validated and every
@@ -208,14 +207,13 @@ impl StoreHandle {
         self.batch_prepass(keys)?;
 
         let store = &*self.store;
-        let mut counters = CounterRun::new(store, bump_reads);
         for run in self.order.chunk_by(|a, b| a.key == b.key) {
             let e = run[0]; // chunk_by never yields an empty run
             let mut h = store.object(e.key).borrow_slot(e.p);
             for d in run {
                 h.read(&mut out[d.i * w..(d.i + 1) * w]); // d.i < keys.len(): out is keys × w
             }
-            counters.count(e.si, run.len() as u64, 0);
+            store.counters(e.si, e.p).count(run.len() as u64, 0, &h.stats());
         }
         Ok(())
     }
@@ -246,9 +244,9 @@ impl StoreHandle {
     /// This is the batched write path: entries are processed in
     /// `(shard, key)` order with the original order preserved between
     /// duplicates of the same key, so router validation, shard-slot
-    /// leasing, the scratch buffer, and the per-shard counters are all
-    /// amortized across the batch — the same economics as
-    /// [`read_many_into`](Self::read_many_into), now for updates. Entries
+    /// leasing and the scratch buffer are amortized across the batch —
+    /// the same economics as [`read_many_into`](Self::read_many_into),
+    /// now for updates. Entries
     /// for the same key go further: the whole run is folded into **one
     /// LL/SC commit** (several logical updates per SC), applied in batch
     /// order inside a single atomic step — a concurrent reader sees
@@ -305,9 +303,8 @@ impl StoreHandle {
     /// Shared batch machinery: validates and sorts `keys` by
     /// `(shard, key, index)`, leases every needed shard slot, then commits
     /// `apply(i, buf)` for each run of equal keys with one LL/SC loop on
-    /// one borrowed object slot, flushing the per-shard counters once per
-    /// shard run. If `apply` panics, the runs already committed are still
-    /// counted: the counter run flushes when the unwind drops it.
+    /// one borrowed object slot. Each run is counted as it commits, so if
+    /// `apply` panics, the runs already committed are still counted.
     fn batch_update(
         &mut self,
         keys: &[u64],
@@ -316,11 +313,9 @@ impl StoreHandle {
         self.batch_prepass(keys)?;
 
         let Self { store, order, buf, .. } = self;
-        let mut counters = CounterRun::new(store, bump_updates);
         for run in order.chunk_by(|a, b| a.key == b.key) {
             let e = run[0]; // chunk_by never yields an empty run
             let mut h = store.object(e.key).borrow_slot(e.p);
-            let mut retries = 0;
             // The whole run of entries for this key is applied inside ONE
             // LL/SC commit — several logical updates per SC.
             loop {
@@ -331,9 +326,8 @@ impl StoreHandle {
                 if h.sc(buf) {
                     break;
                 }
-                retries += 1;
             }
-            counters.count(e.si, run.len() as u64, retries);
+            store.counters(e.si, e.p).count(0, run.len() as u64, &h.stats());
         }
         Ok(())
     }
@@ -368,77 +362,12 @@ fn slot_for(store: &Store, slots: &mut [Option<u32>], si: usize) -> Result<usize
     if let Some(p) = slots[si] {
         return Ok(p as usize);
     }
-    match store.shard(si).registry.lease_any() {
+    match store.registry(si).lease_any() {
         Some((p, _payload)) => {
             slots[si] = Some(p as u32); // bounds as above
             Ok(p)
         }
         None => Err(StoreError::ShardExhausted { shard: si, capacity: store.shard_capacity() }),
-    }
-}
-
-/// Counter attribution for the batched read path: a run's ops are
-/// reads, and the read path never produces retries.
-fn bump_reads(shard: &Shard, ops: u64, retries: u64) {
-    debug_assert_eq!(retries, 0, "the read path takes no LL/SC retries");
-    shard.reads.fetch_add(ops, Ordering::Relaxed);
-}
-
-/// Counter attribution for the batched write path: logical updates plus
-/// the SC rounds lost to races.
-fn bump_updates(shard: &Shard, ops: u64, retries: u64) {
-    shard.updates.fetch_add(ops, Ordering::Relaxed);
-    if retries > 0 {
-        shard.update_retries.fetch_add(retries, Ordering::Relaxed);
-    }
-}
-
-/// Accumulates per-shard `(ops, retries)` counter deltas across a sorted
-/// batch and applies them once per shard run, instead of once per key.
-/// Which shard counters the totals land in is entirely the `apply`
-/// function — the accumulator cannot misattribute a read-path delta to a
-/// write-path counter. Dropping the run applies what is pending, so a
-/// batch cut short by a panicking closure still counts every commit it
-/// made.
-struct CounterRun<'a, F: Fn(&Shard, u64, u64)> {
-    store: &'a Store,
-    apply: F,
-    shard: Option<usize>,
-    ops: u64,
-    retries: u64,
-}
-
-impl<'a, F: Fn(&Shard, u64, u64)> CounterRun<'a, F> {
-    fn new(store: &'a Store, apply: F) -> Self {
-        Self { store, apply, shard: None, ops: 0, retries: 0 }
-    }
-
-    /// Adds a delta for shard `si`, first applying the previous run's
-    /// totals when the shard changes.
-    fn count(&mut self, si: usize, ops: u64, retries: u64) {
-        if self.shard != Some(si) {
-            self.flush();
-            self.shard = Some(si);
-        }
-        self.ops += ops;
-        self.retries += retries;
-    }
-
-    /// Applies the current run's `(ops, retries)` totals and resets.
-    fn flush(&mut self) {
-        if let Some(si) = self.shard.take() {
-            if self.ops > 0 || self.retries > 0 {
-                (self.apply)(self.store.shard(si), self.ops, self.retries);
-            }
-        }
-        self.ops = 0;
-        self.retries = 0;
-    }
-}
-
-impl<F: Fn(&Shard, u64, u64)> Drop for CounterRun<'_, F> {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -449,7 +378,7 @@ impl Drop for StoreHandle {
     fn drop(&mut self) {
         for (si, slot) in self.slots.iter().enumerate() {
             if let Some(p) = slot {
-                self.store.shard(si).registry.release(*p as usize, *p);
+                self.store.registry(si).release(*p as usize, *p);
             }
         }
     }

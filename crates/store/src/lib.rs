@@ -46,9 +46,8 @@
 //!   [`write_many`](StoreHandle::write_many) process a batch in
 //!   `(shard, key)` order — router validation and every needed shard
 //!   lease happen up front (all-or-nothing before the first
-//!   read/write), the per-shard counters are paid once per shard run
-//!   instead of once per key, and a run of equal keys is folded into
-//!   **one LL/SC commit**: several logical updates per SC.
+//!   read/write), and a run of equal keys is folded into **one LL/SC
+//!   commit**: several logical updates per SC.
 //! * [`StoreHandle`] leases **one slot per touched shard**, on demand, and
 //!   holds it for its lifetime (the same lease discipline as
 //!   [`MwLlSc::attach`](mwllsc::MwLlSc::attach)). Holding shard slot `p`
@@ -60,9 +59,12 @@
 //!   read-modify-write: two `Acquire` loads find the object, one load and
 //!   one store move the slot's `mybuf`, and the rest is the paper's own
 //!   `O(W)` steps.
-//! * [`Store::space`] / [`Store::stats`] roll every materialized object's
-//!   [`SpaceReport`](mwllsc::SpaceReport) and [`Stats`](mwllsc::Stats)
-//!   into one honest [`StoreSpace`] / [`StoreStats`] report.
+//! * Each (shard, slot) has its own counters, which only the slot's
+//!   leaseholder writes (a plain load and store): an operation's only
+//!   shared read-modify-writes are the paper's LL/SC steps.
+//!   [`Store::stats`] sums them live into a [`StoreStats`], and
+//!   [`Store::space`] rolls every object's
+//!   [`SpaceReport`](mwllsc::SpaceReport) into one honest [`StoreSpace`].
 //!
 //! # Progress guarantees, honestly
 //!

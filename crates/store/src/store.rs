@@ -1,11 +1,11 @@
-//! The sharded store: configuration, shards, lazy per-key objects, and
-//! the rolled-up space/stats reports.
+//! The sharded store: configuration, shards, lazy per-key objects, the
+//! per-slot operation counters, and the rolled-up space/stats reports.
 
 use mwllsc::sync::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mwllsc::layout::Layout;
-use mwllsc::{CachePadded, MwLlSc, SlotRegistry};
+use mwllsc::{CachePadded, MwLlSc, SlotRegistry, Stats};
 
 use crate::handle::StoreHandle;
 use crate::router::Router;
@@ -23,7 +23,8 @@ pub struct StoreConfig {
     pub shards: usize,
     /// Process slots per shard `c` — the most handles that can touch one
     /// shard concurrently. Every per-key object is built for `c`
-    /// processes, so per-key cost is `3cW + 3c + 1` words.
+    /// processes, so per-key cost is `3cW + 3c + 1` words; each slot of
+    /// each shard also has a 128-byte block of operation counters.
     pub shard_capacity: usize,
     /// Words per logical variable, `W`.
     pub width: usize,
@@ -140,25 +141,42 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// One shard: the slot registry for handle leases, plus its operation
-/// counters.
-pub(crate) struct Shard {
-    /// Shard-level slot leases. A [`StoreHandle`] holding slot `p` here
-    /// owns process id `p` in *every* object of this shard, so it can
-    /// borrow slot `p` of any of them per operation
-    /// ([`MwLlSc::borrow_slot`]) without a lease of its own.
-    pub(crate) registry: SlotRegistry,
-    // Operation counters live *per shard* (inside the shard's padded
-    // block), not on the `Store`: a single store-global counter would be
-    // one cache line RMW'd by every thread on every operation — exactly
-    // the coherence ping-pong sharding exists to remove. Contention on
-    // these mirrors shard contention, which is the quantity being scaled.
-    /// Completed read-family operations against this shard.
-    pub(crate) reads: AtomicU64,
-    /// Completed updates against this shard.
-    pub(crate) updates: AtomicU64,
-    /// Extra LL/SC rounds taken by updates that lost an SC race.
-    pub(crate) update_retries: AtomicU64,
+/// The operation counters of one (shard, slot) pair. Only the handle
+/// leasing that slot writes them, so a count is a plain load and store,
+/// not a read-modify-write. The shard's [`SlotRegistry::release`]
+/// (`Release`) and the next holder's lease (`AcqRel`) order one holder's
+/// counts before the next holder's, and [`Store::stats`] reads them with
+/// `Relaxed`: live, monotone per field, and exact at quiescence.
+#[derive(Default)]
+pub(crate) struct SlotCounters {
+    reads: AtomicU64,
+    updates: AtomicU64,
+    update_retries: AtomicU64,
+    sc_successes: AtomicU64,
+    lls_helped: AtomicU64,
+    helps_given: AtomicU64,
+}
+
+impl SlotCounters {
+    /// Counts one operation, or one batch run of equal keys, that made
+    /// `reads` reads and `updates` logical updates through a single
+    /// borrowed object handle. The handle's own counters `h` supply the
+    /// rest: its successful SC, its failed ones (the retries) and its
+    /// helping.
+    pub(crate) fn count(&self, reads: u64, updates: u64, h: &Stats) {
+        for (counter, n) in [
+            (&self.reads, reads),
+            (&self.updates, updates),
+            (&self.update_retries, h.sc_attempts - h.sc_successes),
+            (&self.sc_successes, h.sc_successes),
+            (&self.lls_helped, h.lls_helped),
+            (&self.helps_given, h.helps_given),
+        ] {
+            if n > 0 {
+                counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// A sharded store of up to `keys` logical `W`-word LL/SC variables.
@@ -169,7 +187,13 @@ pub(crate) struct Shard {
 /// default tagged substrate.
 pub struct Store {
     router: Router,
-    shards: Box<[CachePadded<Shard>]>,
+    /// Per-shard slot leases. A [`StoreHandle`] holding slot `p` of shard
+    /// `si` owns process id `p` in *every* object of that shard, so it
+    /// borrows slot `p` of any of them per operation
+    /// ([`MwLlSc::borrow_slot`]) without a lease of its own.
+    shards: Box<[CachePadded<SlotRegistry>]>,
+    /// Counters of slot `p` of shard `si` at `si * shard_capacity + p`.
+    counters: Box<[CachePadded<SlotCounters>]>,
     /// key → object, materialized on first touch.
     table: KeyTable<MwLlSc>,
     shard_capacity: usize,
@@ -230,15 +254,9 @@ impl Store {
         Ok(Arc::new(Self {
             router: Router::new(shards),
             shards: (0..shards)
-                .map(|_| {
-                    CachePadded::new(Shard {
-                        registry: SlotRegistry::new(shard_capacity),
-                        reads: AtomicU64::new(0),
-                        updates: AtomicU64::new(0),
-                        update_retries: AtomicU64::new(0),
-                    })
-                })
+                .map(|_| CachePadded::new(SlotRegistry::new(shard_capacity)))
                 .collect(),
+            counters: (0..shards * shard_capacity).map(|_| CachePadded::default()).collect(),
             table: KeyTable::new(keys),
             shard_capacity,
             w: width,
@@ -303,7 +321,7 @@ impl Store {
     /// Number of shard slots currently leased by live [`StoreHandle`]s.
     #[must_use]
     pub fn live_slot_leases(&self) -> usize {
-        self.shards.iter().map(|s| s.registry.live()).sum()
+        self.shards.iter().map(|s| s.live()).sum()
     }
 
     /// The router (pure, deterministic key→shard function).
@@ -328,8 +346,16 @@ impl Store {
         Ok(self.router.shard_of(key))
     }
 
-    pub(crate) fn shard(&self, si: usize) -> &Shard {
+    /// Shard `si`'s slot registry.
+    pub(crate) fn registry(&self, si: usize) -> &SlotRegistry {
         &self.shards[si] // si comes from router.shard_of, bounded by shard count
+    }
+
+    /// The counters of slot `p` in shard `si`, written only by its
+    /// leaseholder.
+    pub(crate) fn counters(&self, si: usize, p: usize) -> &SlotCounters {
+        // si < shards and p < shard_capacity, so the index is in bounds.
+        &self.counters[si * self.shard_capacity + p]
     }
 
     /// The object for `key` (already checked by [`route`](Self::route)),
@@ -369,25 +395,27 @@ impl Store {
         }
     }
 
-    /// Rolls every shard's operation counters and every materialized
-    /// object's instrumentation counters into one [`StoreStats`].
+    /// Sums the counters of every (shard, slot) into one live
+    /// [`StoreStats`].
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        let mut s = StoreStats { live_slot_leases: self.live_slot_leases(), ..Default::default() };
-        for shard in self.shards.iter() {
-            s.reads += shard.reads.load(Ordering::Relaxed);
-            s.updates += shard.updates.load(Ordering::Relaxed);
-            s.update_retries += shard.update_retries.load(Ordering::Relaxed);
+        let mut s = StoreStats {
+            objects: self.touched_keys(),
+            live_slot_leases: self.live_slot_leases(),
+            ..Default::default()
+        };
+        for c in self.counters.iter() {
+            s.reads += c.reads.load(Ordering::Relaxed);
+            s.updates += c.updates.load(Ordering::Relaxed);
+            s.update_retries += c.update_retries.load(Ordering::Relaxed);
+            s.sc_successes += c.sc_successes.load(Ordering::Relaxed);
+            s.lls_helped += c.lls_helped.load(Ordering::Relaxed);
+            s.helps_given += c.helps_given.load(Ordering::Relaxed);
         }
-        for obj in self.table.iter() {
-            let os = obj.stats();
-            s.objects += 1;
-            s.ll_ops += os.ll_ops;
-            s.sc_attempts += os.sc_attempts;
-            s.sc_successes += os.sc_successes;
-            s.lls_helped += os.lls_helped;
-            s.helps_given += os.helps_given;
-        }
+        // Every LL/SC round of a store op is one LL then one SC, and every
+        // SC that did not commit is a retry.
+        s.sc_attempts = s.sc_successes + s.update_retries;
+        s.ll_ops = s.sc_attempts;
         s
     }
 }
@@ -433,9 +461,15 @@ impl StoreSpace {
     }
 }
 
-/// Aggregated instrumentation for one [`Store`]: store-level operation
-/// counts plus the rollup of every materialized object's
-/// [`Stats`](mwllsc::Stats).
+/// Aggregated instrumentation for one [`Store`]: its operation counts and
+/// the paper-object counters ([`Stats`]) of the LL/SC rounds they ran.
+///
+/// The counters are owned per (shard, slot), written only by the handle
+/// leasing that slot, and summed by [`Store::stats`]. A snapshot taken
+/// while handles operate is live, not atomic; each counter is monotone
+/// from one snapshot to the next, and a snapshot at quiescence is exact.
+/// A batch counts each run of equal keys as it commits, so one cut short
+/// by a panicking closure counts the runs it committed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StoreStats {
@@ -445,19 +479,19 @@ pub struct StoreStats {
     pub live_slot_leases: usize,
     /// Completed [`StoreHandle::read`]-family operations.
     pub reads: u64,
-    /// Completed [`StoreHandle::update`] operations.
+    /// Completed [`StoreHandle::update`]-family logical updates.
     pub updates: u64,
     /// Extra LL/SC rounds taken by updates that lost an SC race.
     pub update_retries: u64,
-    /// Sum of per-object LL counts.
+    /// LLs the updates ran: one per LL/SC round, so `sc_attempts`.
     pub ll_ops: u64,
-    /// Sum of per-object SC attempts.
+    /// SCs the updates ran: `sc_successes + update_retries`.
     pub sc_attempts: u64,
-    /// Sum of per-object successful SCs.
+    /// Successful SCs: one per update, or per batch run of equal keys.
     pub sc_successes: u64,
-    /// Sum of per-object helped LLs.
+    /// Helped LLs, over reads and updates.
     pub lls_helped: u64,
-    /// Sum of per-object helps given.
+    /// Buffers the updates' SCs handed to helped LLs.
     pub helps_given: u64,
 }
 

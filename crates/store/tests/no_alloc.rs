@@ -59,7 +59,7 @@ fn warm_batch_paths_allocate_nothing() {
     const W: usize = 2;
     let store = Store::new(StoreConfig::new(4, 2, W, 1 << 12));
     let mut h = store.attach();
-    // Duplicates and several shards, so runs fold and counters flush.
+    // Duplicates and several shards, so runs fold and shard runs change.
     let keys: Vec<u64> = (0..64u64).map(|i| (i * 37) % 48).collect();
     let mut out = vec![0u64; keys.len() * W];
 

@@ -1,6 +1,7 @@
 //! Store stress: concurrent per-key read-modify-writes over a 2^24-key
 //! space, with per-key exact counters, in-flight monotonicity, and the
-//! rolled-up space invariant.
+//! rolled-up space invariant; shard slots handed between live threads;
+//! and the store's own operation counters read live.
 //!
 //! The single-object suite proves one `MwLlSc` is linearizable; what the
 //! store must prove on top is that the composition is sound: the router
@@ -15,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use mwllsc::layout::Layout;
-use mwllsc_store::{Store, StoreConfig};
+use mwllsc_store::{Store, StoreConfig, StoreStats};
 
 /// Logical key space: 2^24 — beyond the single-object process ceiling
 /// (`Layout::MAX_PROCESSES` = 2^22), which is the point of the store.
@@ -267,4 +268,139 @@ fn worker_churn_releases_leases_and_loses_nothing() {
         total += h.read_vec(k).unwrap()[0];
     }
     assert_eq!(total, rounds as u64 * WORKERS as u64 * incs, "no increment lost across churn");
+}
+
+/// Shard-slot hand-off between live threads. A store handle borrows its
+/// shard slot `p` on a key's object for each operation; the slot's `mybuf`
+/// (the buffer process `p` owns) is parked in the object when the
+/// operation ends, and the slot's counters are written only by its
+/// leaseholder. When handles come and go, slot `p` passes from thread to
+/// thread, and both must pass with it: an operation that started from a
+/// stale `mybuf` would write its value into a buffer the object may still
+/// be serving reads from, and a count lost or doubled at the hand-off
+/// would break the totals. Three threads read and update the hot keys of
+/// one shard and re-attach every few operations, so shard slots change
+/// hands constantly. A reader keeps its own slot and checks every value
+/// it reads for tearing, and a poller reads `Store::stats()` live: every
+/// counter must be monotone between its polls, and exact at the end.
+#[test]
+fn shard_slots_pass_between_live_threads_with_their_buffers_and_counters() {
+    const WIDTH: usize = 4;
+    const HOT: [u64; 4] = [0, 1, 2, 3];
+    const CHURNERS: usize = 3;
+    const REATTACH_EVERY: usize = 8;
+    let seed = stress_seed();
+    let ops = stress_iters(4_000);
+    // Two slots of slack: `lease_any` can report `ShardExhausted` while
+    // another thread is between dropping its handle and the release store
+    // of its slot, which capacity == threads would turn into a spurious
+    // failure.
+    let store = Store::new(StoreConfig::new(1, CHURNERS + 3, WIDTH, 64));
+    let inc = |v: &mut [u64]| v.iter_mut().for_each(|x| *x += 1);
+    // Every counter, leaving out the `live_slot_leases` gauge.
+    let counters = |s: StoreStats| {
+        [s.objects as u64, s.reads, s.updates, s.update_retries, s.ll_ops]
+            .into_iter()
+            .chain([s.sc_attempts, s.sc_successes, s.lls_helped, s.helps_given])
+            .collect::<Vec<_>>()
+    };
+    let (stop, barrier) = (AtomicBool::new(false), Barrier::new(CHURNERS + 1));
+    let (acked, reads, rounds) = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let (mut h, mut v, mut reads) = (store.attach(), [0u64; WIDTH], 0);
+            barrier.wait();
+            while reads == 0 || !stop.load(Ordering::Relaxed) {
+                for key in HOT {
+                    h.read(key, &mut v).unwrap();
+                    assert!(v.iter().all(|&x| x == v[0]), "torn read of key {key}: {v:?}");
+                }
+                reads += HOT.len() as u64;
+            }
+            reads
+        });
+        scope.spawn(|| {
+            let mut last = counters(store.stats());
+            while !stop.load(Ordering::Relaxed) {
+                let now = counters(store.stats());
+                assert!(last.iter().zip(&now).all(|(a, b)| a <= b), "{last:?} -> {now:?}");
+                last = now;
+            }
+        });
+        let churners: Vec<_> = (0..CHURNERS as u64)
+            .map(|t| {
+                let (store, barrier) = (&store, &barrier);
+                scope.spawn(move || {
+                    let mut rng = Jitter::new(seed, t);
+                    let (mut acked, mut reads, mut v) = ([0u64; HOT.len()], 0, [0u64; WIDTH]);
+                    let (mut all, mut rounds) = ([0u64; HOT.len() * WIDTH], 0);
+                    barrier.wait();
+                    let mut h = store.attach();
+                    for i in 0..ops {
+                        if i % REATTACH_EVERY == 0 {
+                            // The old handle's shard slot goes back to the
+                            // pool, to be leased next by whichever thread
+                            // gets there first.
+                            drop(h);
+                            h = store.attach();
+                        }
+                        let k = (rng.next() % HOT.len() as u64) as usize;
+                        match i % 4 {
+                            0 => {
+                                h.read(HOT[k], &mut v).unwrap();
+                                assert!(v.iter().all(|&x| x == v[0]), "torn read: {v:?}");
+                                reads += 1;
+                            }
+                            1 => {
+                                h.update_many_with(&HOT, |_, v| {
+                                    rounds += 1;
+                                    inc(v)
+                                })
+                                .unwrap();
+                                acked.iter_mut().for_each(|a| *a += 1);
+                            }
+                            2 => {
+                                h.read_many_into(&HOT, &mut all).unwrap();
+                                assert!(all.chunks(WIDTH).all(|v| v.iter().all(|&x| x == v[0])));
+                                reads += HOT.len() as u64;
+                            }
+                            _ => {
+                                h.update_with(HOT[k], &mut v, |v| {
+                                    rounds += 1;
+                                    inc(v)
+                                })
+                                .unwrap();
+                                acked[k] += 1;
+                            }
+                        }
+                    }
+                    (acked, reads, rounds)
+                })
+            })
+            .collect();
+        let (mut acked, mut reads, mut rounds) = ([0u64; HOT.len()], 0, 0);
+        for c in churners {
+            let (a, r, n) = c.join().unwrap();
+            acked.iter_mut().zip(a).for_each(|(total, n)| *total += n);
+            (reads, rounds) = (reads + r, rounds + n);
+        }
+        stop.store(true, Ordering::Relaxed);
+        (acked, reads + reader.join().unwrap(), rounds)
+    });
+    assert_eq!(store.live_slot_leases(), 0, "every handle released its shard slot");
+    let stats = store.stats();
+    let updates: u64 = acked.iter().sum();
+    assert_eq!((stats.reads, stats.updates, stats.objects), (reads, updates, HOT.len()));
+    // The batches name each hot key once, so every update is its own SC,
+    // and each LL/SC round runs the key's closure once.
+    assert_eq!(stats.sc_successes, stats.updates);
+    assert_eq!(stats.sc_attempts, stats.updates + stats.update_retries);
+    assert_eq!(stats.sc_attempts, rounds, "one SC per closure round");
+    let mut h = store.attach();
+    for (key, sum) in HOT.into_iter().zip(acked) {
+        assert_eq!(
+            h.read_vec(key).unwrap(),
+            vec![sum; WIDTH],
+            "key {key} lost or duplicated updates"
+        );
+    }
 }

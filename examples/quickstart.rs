@@ -57,7 +57,10 @@ fn main() {
     println!("atomic multiword fetch&add with checksum: {val:?}");
 
     // —— Introspection ————————————————————————————————————————
-    let stats = obj.stats();
+    // Each handle counts its own operations; `+=` totals the object's.
+    let mut stats = h0.stats();
+    stats += h1.stats();
+    stats += h2.stats();
     println!(
         "stats: {} LLs, {} SC attempts ({} successful), {} VLs",
         stats.ll_ops, stats.sc_attempts, stats.sc_successes, stats.vl_ops

@@ -98,6 +98,10 @@ fn main() {
     let space = store.space();
     let stats = store.stats();
     assert_eq!(space.shared_words, space.touched_keys * space.per_key_shared_words);
+    // The per-slot counters, summed, count every update exactly once.
+    assert_eq!(stats.updates, total_ops);
+    assert_eq!(stats.sc_successes, stats.updates, "one SC commits each update_with");
+    assert_eq!(stats.sc_attempts, stats.updates + stats.update_retries);
     println!(
         "{total_ops} updates by {WORKERS} workers in {secs:.2}s ({:.2} Mops/s)",
         total_ops as f64 / secs / 1e6
